@@ -124,6 +124,7 @@ fuzz:
 	$(GO) test -fuzz FuzzWALDecode -fuzztime 15s ./internal/measuredb/
 	$(GO) test -fuzz FuzzSnapshotRoundTrip -fuzztime 15s ./internal/measuredb/
 	$(GO) test -fuzz FuzzSyncFrameDecode -fuzztime 15s ./internal/feddb/
+	$(GO) test -fuzz FuzzFrame -fuzztime 15s ./internal/frame/
 
 # Full-scale regeneration of every paper figure, ablation and extension
 # (~3 minutes), plus the consolidated markdown report.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"paratune/internal/event"
+	"paratune/internal/frame"
 )
 
 // binPreamble mirrors the harmony binary protocol's PHWIRE1 connection
@@ -21,15 +22,10 @@ import (
 const binPreamble = "PHWIRE1\n"
 
 // syncPreamble mirrors the feddb anti-entropy protocol's PHSYNC1 preamble.
-// Sync frames share the PHWIRE1 envelope (uvarint length | crc32 | payload),
-// so a sync link is relayed — and faulted — exactly like a binary tuning
-// link, fault for fault under the same deterministic schedule.
+// Sync frames share the PHWIRE1 envelope (internal/frame), so a sync link is
+// relayed — and faulted — exactly like a binary tuning link, fault for fault
+// under the same deterministic schedule.
 const syncPreamble = "PHSYNC1\n"
-
-// maxBinFrame mirrors the harmony codec's 1MB frame bound; a length prefix
-// above it means the stream is not actually framed binary and the link is
-// dropped rather than buffered without bound.
-const maxBinFrame = 1 << 20
 
 // Killer is the supervisor hook the proxy fires scheduled server kills
 // through. Kill must tear the backend down abruptly (no final checkpoint),
@@ -269,14 +265,14 @@ func readWireFrame(rd *bufio.Reader, binary bool) ([]byte, error) {
 	if !binary {
 		return rd.ReadBytes('\n')
 	}
-	frame := make([]byte, 0, 64)
+	msg := make([]byte, 0, 64)
 	var size uint64
 	for shift := uint(0); ; shift += 7 {
 		b, err := rd.ReadByte()
 		if err != nil {
 			return nil, err
 		}
-		frame = append(frame, b)
+		msg = append(msg, b)
 		if shift > 63 {
 			return nil, errors.New("chaos: binary frame length overflow")
 		}
@@ -285,14 +281,16 @@ func readWireFrame(rd *bufio.Reader, binary bool) ([]byte, error) {
 			break
 		}
 	}
-	if size > maxBinFrame {
+	// A length above the codecs' bound means the stream is not actually
+	// framed binary: drop the link rather than buffer without bound.
+	if size > frame.MaxPayload {
 		return nil, errors.New("chaos: binary frame exceeds size limit")
 	}
 	rest := make([]byte, 4+int(size))
 	if _, err := io.ReadFull(rd, rest); err != nil {
 		return nil, err
 	}
-	return append(frame, rest...), nil
+	return append(msg, rest...), nil
 }
 
 // applied mirrors one executed fault into the event stream.

@@ -1,9 +1,16 @@
 package feddb
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
+	"paratune/internal/frame"
 	"paratune/internal/measuredb"
 	"paratune/internal/space"
 )
@@ -48,4 +55,41 @@ func FuzzSyncFrameDecode(f *testing.F) {
 			t.Fatalf("decode/encode is not the identity:\n got %x\nwant %x", re, data)
 		}
 	})
+}
+
+// TestSyncFixtureRoundTrip pins PHSYNC1 bytes across commits: a frames
+// message written by an earlier build must decode to the same message and
+// re-encode byte-identically through writeSyncMsg.
+func TestSyncFixtureRoundTrip(t *testing.T) {
+	text, err := os.ReadFile(filepath.Join("testdata", "phsync1_frames.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := hex.DecodeString(strings.Join(strings.Fields(string(text)), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := syncMsg{Op: "frames", Origin: "peer-a", High: 3, Hash: 0x1234abcd5678ef90, Frames: []measuredb.Frame{
+		{Origin: "peer-a", Seq: 2, Point: space.Point{1.5, -2}, Value: 0.25},
+		{Origin: "peer-a", Seq: 3, Point: space.Point{4, 0}, Value: 17},
+	}}
+	payload, err := frame.ReadFrame(bufio.NewReader(bytes.NewReader(raw)), frame.MaxPayload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m syncMsg
+	if err := decodeSyncMsg(payload, &m); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m, want) {
+		t.Errorf("fixture decoded to %+v, want %+v", m, want)
+	}
+	var out bytes.Buffer
+	var buf syncBuf
+	if err := writeSyncMsg(&out, &buf, &m); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), raw) {
+		t.Errorf("fixture re-encoded differently:\n got %x\nwant %x", out.Bytes(), raw)
+	}
 }

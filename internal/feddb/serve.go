@@ -7,6 +7,7 @@ import (
 	"net"
 	"time"
 
+	"paratune/internal/frame"
 	"paratune/internal/measuredb"
 )
 
@@ -46,7 +47,7 @@ func ServeConn(conn net.Conn, br *bufio.Reader, opts ServeOptions) error {
 	if opts.WriteTimeout <= 0 {
 		opts.WriteTimeout = 10 * time.Second
 	}
-	var wbuf []byte
+	var wbuf syncBuf
 	var msg, reply syncMsg
 	// Snapshot bytes are generated once per connection and served in chunks;
 	// the sum lets a reconnecting peer resume mid-transfer as long as the
@@ -58,7 +59,7 @@ func ServeConn(conn net.Conn, br *bufio.Reader, opts ServeOptions) error {
 		if err := conn.SetReadDeadline(time.Now().Add(opts.ReadTimeout)); err != nil {
 			return err
 		}
-		payload, err := readSyncFrame(br)
+		payload, err := frame.ReadFrame(br, frame.MaxPayload, nil)
 		if err != nil {
 			return err
 		}

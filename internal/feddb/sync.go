@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"paratune/internal/event"
+	"paratune/internal/frame"
 	"paratune/internal/measuredb"
 )
 
@@ -54,7 +55,7 @@ type Stats struct {
 type syncConn struct {
 	conn net.Conn
 	br   *bufio.Reader
-	wbuf []byte
+	wbuf syncBuf
 	rt   time.Duration
 	wt   time.Duration
 }
@@ -71,7 +72,7 @@ func (c *syncConn) roundTrip(req, resp *syncMsg) error {
 	if err := c.conn.SetReadDeadline(time.Now().Add(c.rt)); err != nil {
 		return err
 	}
-	payload, err := readSyncFrame(c.br)
+	payload, err := frame.ReadFrame(c.br, frame.MaxPayload, nil)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"paratune/internal/frame"
 )
 
 // FuzzTCPFrameDecode: arbitrary bytes on the wire — truncated frames,
@@ -66,7 +68,7 @@ func binSeed(req *request) []byte {
 	if err != nil {
 		panic(err)
 	}
-	return appendBinFrame(nil, payload)
+	return frame.AppendFrame(nil, payload)
 }
 
 // FuzzBinaryFrameDecode: arbitrary bytes after the PHWIRE1 preamble —
@@ -102,15 +104,15 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 		// as a request, re-encoding that request must reproduce the payload
 		// byte for byte.
 		br := bufio.NewReader(bytes.NewReader(raw))
-		if frame, err := readBinFrame(br, maxBinFrame); err == nil {
+		if payload, err := frame.ReadFrame(br, frame.MaxPayload, nil); err == nil {
 			var req request
-			if err := decodeRequest(frame, &req); err == nil {
+			if err := decodeRequest(payload, &req); err == nil {
 				re, err := appendRequest(nil, &req)
 				if err != nil {
 					t.Fatalf("decoded request failed to re-encode: %v", err)
 				}
-				if !bytes.Equal(re, frame) {
-					t.Fatalf("decode∘encode not identity:\n in: %x\nout: %x", frame, re)
+				if !bytes.Equal(re, payload) {
+					t.Fatalf("decode∘encode not identity:\n in: %x\nout: %x", payload, re)
 				}
 			}
 		}

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"paratune/internal/frame"
 )
 
 // wireCases enumerates the two wire protocols; the resume/dup-suppression
@@ -82,7 +84,7 @@ func (rw *rawWire) frame(req *request) []byte {
 		if err != nil {
 			rw.t.Fatal(err)
 		}
-		return appendBinFrame(nil, payload)
+		return frame.AppendFrame(nil, payload)
 	}
 	b, err := json.Marshal(req)
 	if err != nil {
@@ -96,7 +98,7 @@ func (rw *rawWire) readResp() (response, bool) {
 	rw.t.Helper()
 	var resp response
 	if rw.wire == WireBinary {
-		payload, err := readBinFrame(rw.br, maxBinFrame)
+		payload, err := frame.ReadFrame(rw.br, frame.MaxPayload, nil)
 		if err != nil {
 			return resp, false
 		}

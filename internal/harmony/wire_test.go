@@ -3,11 +3,15 @@ package harmony
 import (
 	"bufio"
 	"bytes"
-	"errors"
+	"encoding/hex"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"paratune/internal/alloccheck"
+	"paratune/internal/frame"
 )
 
 // wireRequests is a round-trip corpus covering every opcode and every field
@@ -147,42 +151,6 @@ func TestBinaryDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestReadBinFrameRejects covers the frame envelope: CRC mismatch, oversized
-// length, and a non-minimal length prefix must all be structural errors.
-func TestReadBinFrameRejects(t *testing.T) {
-	payload, err := appendRequest(nil, &request{Op: "best", Session: "s", Seq: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := appendBinFrame(nil, payload)
-
-	corrupt := append([]byte{}, frame...)
-	corrupt[len(corrupt)-1] ^= 0x01
-	if _, err := readBinFrame(bufio.NewReader(bytes.NewReader(corrupt)), maxBinFrame); !errors.Is(err, errBinCRC) {
-		t.Errorf("corrupted payload: err = %v, want CRC mismatch", err)
-	}
-
-	huge := appendUvarint(nil, maxBinFrame+1)
-	huge = append(huge, 0, 0, 0, 0)
-	if _, err := readBinFrame(bufio.NewReader(bytes.NewReader(huge)), maxBinFrame); !errors.Is(err, errBinTooLarge) {
-		t.Errorf("oversized frame: err = %v, want too-large", err)
-	}
-
-	nonMinimal := append([]byte{0x80, 0x00, 0, 0, 0, 0}, frame...)
-	if _, err := readBinFrame(bufio.NewReader(bytes.NewReader(nonMinimal)), maxBinFrame); !errors.Is(err, errBinMalformed) {
-		t.Errorf("non-minimal length: err = %v, want malformed", err)
-	}
-
-	// A valid frame decodes to exactly its payload.
-	got, err := readBinFrame(bufio.NewReader(bytes.NewReader(frame)), maxBinFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Error("readBinFrame returned wrong payload")
-	}
-}
-
 // TestBinaryEncodeAllocs pins the steady-state encode path at zero
 // allocations per frame once the scratch buffers have grown.
 func TestBinaryEncodeAllocs(t *testing.T) {
@@ -191,17 +159,17 @@ func TestBinaryEncodeAllocs(t *testing.T) {
 	resp := response{OK: true, Seq: 1000, Point: []float64{1, 2, 3}, Tag: 42}
 	pbuf := make([]byte, 0, 1024)
 	fbuf := make([]byte, 0, 1024)
-	alloccheck.Guard(t, "harmony.appendRequest+appendBinFrame", 0, func() {
+	alloccheck.Guard(t, "harmony.appendRequest+frame.AppendFrame", 0, func() {
 		var err error
 		pbuf, err = appendRequest(pbuf[:0], &req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fbuf = appendBinFrame(fbuf[:0], pbuf)
+		fbuf = frame.AppendFrame(fbuf[:0], pbuf)
 	})
-	alloccheck.Guard(t, "harmony.appendResponse+appendBinFrame", 0, func() {
+	alloccheck.Guard(t, "harmony.appendResponse+frame.AppendFrame", 0, func() {
 		pbuf = appendResponse(pbuf[:0], &resp)
-		fbuf = appendBinFrame(fbuf[:0], pbuf)
+		fbuf = frame.AppendFrame(fbuf[:0], pbuf)
 	})
 }
 
@@ -216,15 +184,15 @@ func reportNFrame(t testing.TB, n int, rid string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return appendBinFrame(nil, payload)
+	return frame.AppendFrame(nil, payload)
 }
 
 // TestBinaryDecodeAllocs pins the steady-state zero-copy decode path: once
 // the codec's frame and report scratch have grown, reading a reportn batch
 // costs only the session-string allocation, independent of batch size.
 func TestBinaryDecodeAllocs(t *testing.T) {
-	frame := reportNFrame(t, 128, "")
-	stream := bytes.Repeat(frame, 128) // alloccheck runs the body 101 times
+	raw := reportNFrame(t, 128, "")
+	stream := bytes.Repeat(raw, 128) // alloccheck runs the body 101 times
 	c := &binServerCodec{br: bufio.NewReader(bytes.NewReader(stream))}
 	var req request
 	if err := c.readRequest(&req); err != nil { // warm the scratch buffers
@@ -285,13 +253,13 @@ func TestDecodeRequestIntoScratchReuse(t *testing.T) {
 // BenchmarkDecodeReportN compares the historical allocate-per-frame decode
 // with the zero-copy scratch path for a 128-item reportn batch.
 func BenchmarkDecodeReportN(b *testing.B) {
-	frame := reportNFrame(b, 128, "")
+	raw := reportNFrame(b, 128, "")
 	b.Run("alloc", func(b *testing.B) {
 		var req request
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			br := bufio.NewReader(bytes.NewReader(frame))
-			payload, err := readBinFrame(br, maxBinFrame)
+			br := bufio.NewReader(bytes.NewReader(raw))
+			payload, err := frame.ReadFrame(br, frame.MaxPayload, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -305,7 +273,7 @@ func BenchmarkDecodeReportN(b *testing.B) {
 	b.Run("zerocopy", func(b *testing.B) {
 		var req request
 		c := &binServerCodec{}
-		rd := bytes.NewReader(frame)
+		rd := bytes.NewReader(raw)
 		c.br = bufio.NewReader(rd)
 		// Grow the scratch buffers once so a 1x run measures steady state.
 		if err := c.readRequest(&req); err != nil {
@@ -314,7 +282,7 @@ func BenchmarkDecodeReportN(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rd.Reset(frame)
+			rd.Reset(raw)
 			c.br.Reset(rd)
 			req = request{}
 			if err := c.readRequest(&req); err != nil {
@@ -379,5 +347,70 @@ func TestWireCodecTablesFrozen(t *testing.T) {
 		} else if ok {
 			t.Errorf("kindName(%d) = %q, true; want rejection of an unassigned kind", code, kname)
 		}
+	}
+}
+
+// readHexFixture loads a committed hex dump (whitespace ignored).
+func readHexFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	text, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := hex.DecodeString(strings.Join(strings.Fields(string(text)), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestWireFixturesRoundTrip pins PHWIRE1 bytes across commits: frames
+// written by an earlier build must decode to the same messages and
+// re-encode byte-identically. Same-seed tests only compare two runs of one
+// build, so a codec change that moved both sides would pass them.
+func TestWireFixturesRoundTrip(t *testing.T) {
+	wantReq := request{Op: "reportn", Seq: 300, Client: "client-7", Session: "gs2", Tag: 9, Value: 1.25, RID: "r-9", N: 16,
+		Params:  []wireParam{{Name: "x", Kind: "integer", Lower: 0, Upper: 8}, {Name: "m", Kind: "discrete", Values: []float64{1, 2, 4}}},
+		Reports: []ReportItem{{Tag: 10, Value: 0.5, RID: "r-10"}, {Tag: 200, Value: 3.75}}}
+	raw := readHexFixture(t, "phwire1_request.hex")
+	payload, err := frame.ReadFrame(bufio.NewReader(bytes.NewReader(raw)), frame.MaxPayload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req request
+	if err := decodeRequest(payload, &req); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(req, wantReq) {
+		t.Errorf("request fixture decoded to %+v, want %+v", req, wantReq)
+	}
+	re, err := appendRequest(nil, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := frame.AppendFrame(nil, re); !bytes.Equal(got, raw) {
+		t.Errorf("request fixture re-encoded differently:\n got %x\nwant %x", got, raw)
+	}
+
+	wantResp := response{OK: true, Seq: 300, Code: "backpressure", Error: "pending reports over limit",
+		Point: []float64{1, -2.5}, Tag: 11, Value: 0.125,
+		Stats:   &SessionStats{Name: "gs2", Converged: true, Best: []float64{3, 4}, BestValue: 0.75, Pending: 2, NextTag: 12},
+		LastSeq: 299, Dropped: 1, Duplicates: 2, Resumes: 1,
+		Batch:    []wireFetch{{Point: []float64{5}, Tag: 13}, {Point: []float64{6, 7}, Tag: 14, Converged: true}},
+		Accepted: 5, Refused: 1, Rejected: 2, Queue: 3}
+	raw = readHexFixture(t, "phwire1_response.hex")
+	payload, err = frame.ReadFrame(bufio.NewReader(bytes.NewReader(raw)), frame.MaxPayload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp response
+	if err := decodeResponse(payload, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resp, wantResp) {
+		t.Errorf("response fixture decoded to %+v, want %+v", resp, wantResp)
+	}
+	if got := frame.AppendFrame(nil, appendResponse(nil, &resp)); !bytes.Equal(got, raw) {
+		t.Errorf("response fixture re-encoded differently:\n got %x\nwant %x", got, raw)
 	}
 }

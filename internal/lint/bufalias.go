@@ -268,8 +268,8 @@ func (env *bufEnv) analyzeFunc(st *bufFuncState, report func(*bufSink)) bufResul
 	exprTaint := func(e ast.Expr) *bufTaint { return env.exprTaint(taints, e) }
 
 	// Collect local value-struct objects (a frame slice stored into a field
-	// of a function-local struct value dies with the function — binReader's
-	// buf field is the idiom) and run the monotone taint collection to a
+	// of a function-local struct value dies with the function — a
+	// frame.Reader over the payload is the idiom) and run the monotone taint collection to a
 	// fixpoint, so uses textually before assignments in loops still see the
 	// taint.
 	ast.Inspect(st.fd.Body, func(n ast.Node) bool {

@@ -19,6 +19,8 @@ import (
 // internal/chaos is included because its whole contract is that the fault
 // plan replays byte-identically from a seed: a wall-clock read in the
 // schedule path would break same-seed trace comparison.
+// internal/frame is included because its bytes reach the WAL and snapshot
+// files: it is the encoder those byte-identical files are built with.
 var simPackages = []string{
 	"paratune/internal/baseline",
 	"paratune/internal/chaos",
@@ -27,6 +29,7 @@ var simPackages = []string{
 	"paratune/internal/dist",
 	"paratune/internal/event",
 	"paratune/internal/experiment",
+	"paratune/internal/frame",
 	"paratune/internal/measuredb",
 	"paratune/internal/noise",
 	"paratune/internal/objective",

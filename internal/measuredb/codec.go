@@ -10,22 +10,24 @@
 // anti-entropy sync protocol (internal/feddb) and offline merge share — so
 // identity survives compaction, shipping, and re-merging.
 //
+// Both files are built from internal/frame's canonical primitives (uvarint,
+// string, u64, f64, floats), and WAL frames use its envelope — the same one
+// PHWIRE1 and PHSYNC1 speak on the wire.
+//
 // WAL (append-only journal, one frame per raw measurement):
 //
 //	header | frame | frame | ...
-//	header = magic "PMDBWAL1" | uvarint version | uint64 seed (BE)
-//	       | uvarint len(origin) | origin | uvarint len(space) | space sig
-//	frame  = uvarint len(payload) | crc32(payload) (4 bytes BE) | payload
-//	payload = uvarint dim | dim × float64 bits (BE) | float64 value bits (BE)
-//	        | uvarint len(origin) | origin | uvarint seq
+//	header = magic "PMDBWAL1" | uvarint version | u64 seed
+//	       | string origin | string space sig
+//	payload = floats point | f64 value | string origin | uvarint seq
 //
 // Snapshot (aggregate state, one entry per configuration, sorted by key):
 //
-//	header | uvarint #origins | #origins × (uvarint len | origin)
+//	header | uvarint #origins | #origins × string origin
 //	       | uvarint #configs | entry... | crc32 of everything before (BE)
 //	header = magic "PMDBSNP1" | ... (same fields as the WAL header)
-//	entry  = uvarint dim | dim × float64 bits (BE) | uvarint #obs
-//	       | #obs × (float64 bits (BE) | uvarint origin index | uvarint seq)
+//	entry  = floats point | uvarint #obs
+//	       | #obs × (f64 value | uvarint origin index | uvarint seq)
 //
 // The snapshot's origin table is sorted and deduplicated, and entries list
 // observations in the store's canonical (origin, seq) order, so the encoding
@@ -43,8 +45,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 
+	"paratune/internal/frame"
 	"paratune/internal/space"
 )
 
@@ -53,8 +55,9 @@ const (
 	snapMagic    = "PMDBSNP1"
 	codecVersion = 2
 
-	// maxDim and maxObs bound decoded counts so hostile input cannot force
-	// huge allocations before a CRC or length check catches it.
+	// maxDim and maxObs bound a configuration's dimension and observation
+	// counts. Ingest enforces maxDim too, so the store never writes a frame
+	// its own recovery would discard.
 	maxDim = 1 << 10
 	maxObs = 1 << 24
 
@@ -62,6 +65,9 @@ const (
 	// origin table (one entry per store that ever contributed a frame).
 	maxOriginLen = 255
 	maxOrigins   = 1 << 16
+
+	// maxSpaceSig bounds the header's space signature.
+	maxSpaceSig = 1 << 16
 
 	// maxFrame bounds one WAL frame payload: uvarint dim + maxDim coords +
 	// the value + origin + seq, with slack.
@@ -72,28 +78,13 @@ const (
 // (or truncated) frame identically: truncate at the frame's start offset.
 var errCorrupt = errors.New("measuredb: corrupt record")
 
-// canonUvarint decodes a minimally encoded uvarint. encoding/binary accepts
-// padded encodings our encoder never produces; rejecting them keeps the
-// codec canonical — every accepted byte sequence re-encodes to itself, the
-// property the fuzz round-trip targets pin.
-func canonUvarint(b []byte) (uint64, int) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 || (n > 1 && b[n-1] == 0) {
-		return 0, 0
-	}
-	return v, n
-}
-
 // appendHeader appends a file header to dst.
 func appendHeader(dst []byte, magic string, seed int64, origin, spaceSig string) []byte {
 	dst = append(dst, magic...)
 	dst = binary.AppendUvarint(dst, codecVersion)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(seed))
-	dst = binary.AppendUvarint(dst, uint64(len(origin)))
-	dst = append(dst, origin...)
-	dst = binary.AppendUvarint(dst, uint64(len(spaceSig)))
-	dst = append(dst, spaceSig...)
-	return dst
+	dst = frame.AppendString(dst, origin)
+	return frame.AppendString(dst, spaceSig)
 }
 
 // decodeHeader reads a file header, returning the seed, origin, space
@@ -102,60 +93,26 @@ func decodeHeader(b []byte, magic string) (seed int64, origin, spaceSig string, 
 	if len(b) < len(magic) || string(b[:len(magic)]) != magic {
 		return 0, "", "", 0, fmt.Errorf("measuredb: bad magic (want %q)", magic)
 	}
-	n = len(magic)
-	version, k := canonUvarint(b[n:])
-	if k <= 0 || version != codecVersion {
+	r := frame.NewReader(b[len(magic):])
+	if version := r.Uvarint(); version != codecVersion {
 		return 0, "", "", 0, fmt.Errorf("measuredb: unsupported version %d", version)
 	}
-	n += k
-	if len(b) < n+8 {
+	seed = int64(r.U64())
+	origin = r.Str()
+	spaceSig = r.Str()
+	if r.Err() != nil || len(origin) > maxOriginLen || len(spaceSig) > maxSpaceSig {
 		return 0, "", "", 0, errCorrupt
 	}
-	seed = int64(binary.BigEndian.Uint64(b[n:]))
-	n += 8
-	origin, k = decodeString(b[n:], maxOriginLen)
-	if k <= 0 {
-		return 0, "", "", 0, errCorrupt
-	}
-	n += k
-	spaceSig, k = decodeString(b[n:], 1<<16)
-	if k <= 0 {
-		return 0, "", "", 0, errCorrupt
-	}
-	n += k
-	return seed, origin, spaceSig, n, nil
-}
-
-// decodeString reads a uvarint-length-prefixed string bounded by max,
-// returning the string and bytes consumed (0 on any framing problem).
-func decodeString(b []byte, max int) (string, int) {
-	l, k := canonUvarint(b)
-	if k <= 0 || l > uint64(max) || uint64(len(b)-k) < l {
-		return "", 0
-	}
-	return string(b[k : k+int(l)]), k + int(l)
+	return seed, origin, spaceSig, len(magic) + r.Offset(), nil
 }
 
 // appendMeasurementPayload appends one frame payload — the canonical bytes
 // the per-origin digest hash chains over — to dst.
 func appendMeasurementPayload(dst []byte, p space.Point, v float64, origin string, seq uint64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(p)))
-	for _, c := range p {
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c))
-	}
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-	dst = binary.AppendUvarint(dst, uint64(len(origin)))
-	dst = append(dst, origin...)
-	dst = binary.AppendUvarint(dst, seq)
-	return dst
-}
-
-// appendWALFrame frames a pre-built measurement payload: length prefix, CRC,
-// payload.
-func appendWALFrame(dst, payload []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+	dst = frame.AppendFloats(dst, p)
+	dst = frame.AppendF64(dst, v)
+	dst = frame.AppendString(dst, origin)
+	return binary.AppendUvarint(dst, seq)
 }
 
 // walRec is one decoded WAL frame.
@@ -170,59 +127,18 @@ type walRec struct {
 // and the bytes consumed. Any framing, CRC, or payload problem — including a
 // frame that runs past the end of b (a torn tail write) — returns errCorrupt.
 func decodeWALFrame(b []byte) (rec walRec, n int, err error) {
-	plen, k := canonUvarint(b)
-	if k <= 0 || plen == 0 || plen > maxFrame {
+	payload, n, err := frame.Split(b, maxFrame)
+	if err != nil || len(payload) == 0 {
 		return walRec{}, 0, errCorrupt
 	}
-	n = k
-	if len(b) < n+4 {
+	r := frame.NewReader(payload)
+	rec.point = r.Floats()
+	rec.value = r.F64()
+	rec.origin = r.Str()
+	rec.seq = r.Uvarint()
+	if r.Finish() != nil || len(rec.point) > maxDim || len(rec.origin) > maxOriginLen || rec.seq == 0 {
 		return walRec{}, 0, errCorrupt
 	}
-	sum := binary.BigEndian.Uint32(b[n:])
-	n += 4
-	if uint64(len(b)-n) < plen {
-		return walRec{}, 0, errCorrupt
-	}
-	payload := b[n : n+int(plen)]
-	n += int(plen)
-	if crc32.ChecksumIEEE(payload) != sum {
-		return walRec{}, 0, errCorrupt
-	}
-	rec, used, err := decodeMeasurement(payload)
-	if err != nil || used != len(payload) {
-		return walRec{}, 0, errCorrupt
-	}
-	return rec, n, nil
-}
-
-// decodeMeasurement decodes `uvarint dim | coords | value | origin | seq`
-// from b.
-func decodeMeasurement(b []byte) (rec walRec, n int, err error) {
-	dim, k := canonUvarint(b)
-	if k <= 0 || dim > maxDim {
-		return walRec{}, 0, errCorrupt
-	}
-	n = k
-	if uint64(len(b)-n) < 8*(dim+1) {
-		return walRec{}, 0, errCorrupt
-	}
-	rec.point = make(space.Point, dim)
-	for i := range rec.point {
-		rec.point[i] = math.Float64frombits(binary.BigEndian.Uint64(b[n:]))
-		n += 8
-	}
-	rec.value = math.Float64frombits(binary.BigEndian.Uint64(b[n:]))
-	n += 8
-	rec.origin, k = decodeString(b[n:], maxOriginLen)
-	if k <= 0 {
-		return walRec{}, 0, errCorrupt
-	}
-	n += k
-	rec.seq, k = canonUvarint(b[n:])
-	if k <= 0 || rec.seq == 0 {
-		return walRec{}, 0, errCorrupt
-	}
-	n += k
 	return rec, n, nil
 }
 
@@ -250,18 +166,14 @@ func encodeSnapshot(seed int64, origin, spaceSig string, origins []string, entri
 	out := appendHeader(nil, snapMagic, seed, origin, spaceSig)
 	out = binary.AppendUvarint(out, uint64(len(origins)))
 	for _, o := range origins {
-		out = binary.AppendUvarint(out, uint64(len(o)))
-		out = append(out, o...)
+		out = frame.AppendString(out, o)
 	}
 	out = binary.AppendUvarint(out, uint64(len(entries)))
 	for _, e := range entries {
-		out = binary.AppendUvarint(out, uint64(len(e.point)))
-		for _, c := range e.point {
-			out = binary.BigEndian.AppendUint64(out, math.Float64bits(c))
-		}
+		out = frame.AppendFloats(out, e.point)
 		out = binary.AppendUvarint(out, uint64(len(e.obs)))
 		for i, o := range e.obs {
-			out = binary.BigEndian.AppendUint64(out, math.Float64bits(o))
+			out = frame.AppendF64(out, o)
 			out = binary.AppendUvarint(out, uint64(e.meta[i].origin))
 			out = binary.AppendUvarint(out, e.meta[i].seq)
 		}
@@ -284,69 +196,47 @@ func decodeSnapshot(b []byte) (seed int64, origin, spaceSig string, origins []st
 	if err != nil {
 		return 0, "", "", nil, nil, err
 	}
-	norigins, k := canonUvarint(body[n:])
-	if k <= 0 || norigins > maxOrigins {
+	r := frame.NewReader(body[n:])
+	norigins := r.Count(2)
+	if norigins > maxOrigins {
 		return 0, "", "", nil, nil, errCorrupt
 	}
-	n += k
 	origins = make([]string, 0, norigins)
-	for i := uint64(0); i < norigins; i++ {
-		o, k := decodeString(body[n:], maxOriginLen)
-		if k <= 0 || o == "" || (len(origins) > 0 && o <= origins[len(origins)-1]) {
-			return 0, "", "", nil, nil, errCorrupt
+	for i := 0; i < norigins; i++ {
+		o := r.Str()
+		if o == "" || len(o) > maxOriginLen || (len(origins) > 0 && o <= origins[len(origins)-1]) {
+			r.Fail()
+			break
 		}
-		n += k
 		origins = append(origins, o)
 	}
-	count, k := canonUvarint(body[n:])
-	if k <= 0 || count > maxObs {
+	count := r.Count(2)
+	if count > maxObs {
 		return 0, "", "", nil, nil, errCorrupt
 	}
-	n += k
 	entries = make([]entry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		dim, k := canonUvarint(body[n:])
-		if k <= 0 || dim > maxDim {
+	for i := 0; i < count && r.Err() == nil; i++ {
+		p := r.Floats()
+		nobs := r.Count(10)
+		if len(p) > maxDim || nobs > maxObs {
 			return 0, "", "", nil, nil, errCorrupt
 		}
-		n += k
-		if uint64(len(body)-n) < 8*dim {
-			return 0, "", "", nil, nil, errCorrupt
-		}
-		p := make(space.Point, dim)
-		for j := range p {
-			p[j] = math.Float64frombits(binary.BigEndian.Uint64(body[n:]))
-			n += 8
-		}
-		nobs, k := canonUvarint(body[n:])
-		if k <= 0 || nobs > maxObs {
-			return 0, "", "", nil, nil, errCorrupt
-		}
-		n += k
 		obs := make([]float64, 0, nobs)
 		meta := make([]obsMeta, 0, nobs)
-		for j := uint64(0); j < nobs; j++ {
-			if len(body)-n < 8 {
-				return 0, "", "", nil, nil, errCorrupt
+		for j := 0; j < nobs; j++ {
+			v := r.F64()
+			oi := r.Uvarint()
+			seq := r.Uvarint()
+			if oi >= uint64(len(origins)) || seq == 0 {
+				r.Fail()
+				break
 			}
-			v := math.Float64frombits(binary.BigEndian.Uint64(body[n:]))
-			n += 8
-			oi, k := canonUvarint(body[n:])
-			if k <= 0 || oi >= uint64(len(origins)) {
-				return 0, "", "", nil, nil, errCorrupt
-			}
-			n += k
-			seq, k := canonUvarint(body[n:])
-			if k <= 0 || seq == 0 {
-				return 0, "", "", nil, nil, errCorrupt
-			}
-			n += k
 			obs = append(obs, v)
 			meta = append(meta, obsMeta{origin: uint32(oi), seq: seq})
 		}
 		entries = append(entries, entry{point: p, obs: obs, meta: meta})
 	}
-	if n != len(body) {
+	if r.Finish() != nil {
 		return 0, "", "", nil, nil, errCorrupt
 	}
 	return seed, origin, spaceSig, origins, entries, nil

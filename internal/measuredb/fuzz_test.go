@@ -3,15 +3,21 @@ package measuredb
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
+	"paratune/internal/frame"
 	"paratune/internal/space"
 )
 
 // walFrame builds one framed WAL record for test input.
 func walFrame(dst []byte, p space.Point, v float64, origin string, seq uint64) []byte {
-	return appendWALFrame(dst, appendMeasurementPayload(nil, p, v, origin, seq))
+	return frame.AppendFrame(dst, appendMeasurementPayload(nil, p, v, origin, seq))
 }
 
 // FuzzWALDecode throws arbitrary bytes at the WAL frame decoder: it must
@@ -119,5 +125,90 @@ func TestWALFrameGolden(t *testing.T) {
 	plen, n := binary.Uvarint(frame)
 	if plen != 20 || n != 1 {
 		t.Fatalf("frame header = (%d, %d), want (20, 1)", plen, n)
+	}
+}
+
+// readHexFixture loads a committed hex dump (whitespace ignored).
+func readHexFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	text, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := hex.DecodeString(strings.Join(strings.Fields(string(text)), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestFileFixturesRoundTrip pins the WAL and snapshot bytes across commits:
+// files written by an earlier build must decode to the same content and
+// re-encode byte-identically, and compacting the WAL fixture must
+// reproduce the snapshot fixture (which was compacted from it).
+func TestFileFixturesRoundTrip(t *testing.T) {
+	const sig = "space{x:integer[0,8],y:continuous[-1,1]}"
+	wantRecs := []walRec{
+		{point: space.Point{1, 0.5}, value: 3.25, origin: "n7", seq: 1},
+		{point: space.Point{2, -0.5}, value: 1.5, origin: "n7", seq: 2},
+		{point: space.Point{1, 0.5}, value: 2.75, origin: "peer-b", seq: 1},
+		{point: space.Point{1, 0.5}, value: 3, origin: "n7", seq: 3},
+		{point: space.Point{8, 1}, value: 0.125, origin: "peer-b", seq: 2},
+	}
+	wal := readHexFixture(t, "wal.hex")
+	seed, origin, gotSig, n, err := decodeHeader(wal, walMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seed != 7 || origin != "n7" || gotSig != sig {
+		t.Fatalf("WAL header = (%d, %q, %q)", seed, origin, gotSig)
+	}
+	re := appendHeader(nil, walMagic, seed, origin, gotSig)
+	var recs []walRec
+	for n < len(wal) {
+		rec, used, err := decodeWALFrame(wal[n:])
+		if err != nil {
+			t.Fatalf("WAL frame at %d: %v", n, err)
+		}
+		recs = append(recs, rec)
+		re = walFrame(re, rec.point, rec.value, rec.origin, rec.seq)
+		n += used
+	}
+	if !reflect.DeepEqual(recs, wantRecs) {
+		t.Errorf("WAL fixture decoded to %+v, want %+v", recs, wantRecs)
+	}
+	if !bytes.Equal(re, wal) {
+		t.Errorf("WAL fixture re-encoded differently:\n got %x\nwant %x", re, wal)
+	}
+
+	snap := readHexFixture(t, "snapshot.hex")
+	seed, origin, gotSig, origins, entries, err := decodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(origins, []string{"n7", "peer-b"}) || len(entries) != 3 {
+		t.Errorf("snapshot fixture: origins %v, %d entries", origins, len(entries))
+	}
+	if got := encodeSnapshot(seed, origin, gotSig, origins, entries); !bytes.Equal(got, snap) {
+		t.Errorf("snapshot fixture re-encoded differently:\n got %x\nwant %x", got, snap)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walFileName), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if ri := st.Recovery(); ri != nil {
+		t.Fatalf("opening the WAL fixture truncated it: %+v", *ri)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, snapFileName)); err != nil || !bytes.Equal(got, snap) {
+		t.Errorf("compacting the WAL fixture wrote %x (err %v), want the snapshot fixture", got, err)
 	}
 }

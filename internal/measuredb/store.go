@@ -44,6 +44,7 @@ import (
 
 	"paratune/internal/event"
 	"paratune/internal/fault"
+	"paratune/internal/frame"
 	"paratune/internal/space"
 	"paratune/internal/stats"
 )
@@ -243,6 +244,11 @@ func (s *Store) applyLocked(origin string, seq uint64, p space.Point, v float64,
 	if len(p) == 0 || !fault.ValidValue(v) {
 		return false, fmt.Errorf("measuredb: origin %s seq %d: invalid measurement", origin, seq)
 	}
+	if len(p) > maxDim {
+		// Recovery rejects wider frames, so persisting one would truncate
+		// the WAL at it — and lose every later frame — on the next Open.
+		return false, fmt.Errorf("measuredb: origin %s seq %d: %d-dimensional point exceeds %d", origin, seq, len(p), maxDim)
+	}
 	oi, ost := s.internLocked(origin)
 	if seq <= ost.high {
 		ref := ost.log[seq-1]
@@ -275,7 +281,7 @@ func (s *Store) applyLocked(origin string, seq uint64, p space.Point, v float64,
 	ost.hash = chainHash(ost.hash, s.walBuf)
 
 	if persist && s.wal != nil && s.err == nil {
-		s.frameBuf = appendWALFrame(s.frameBuf[:0], s.walBuf)
+		s.frameBuf = frame.AppendFrame(s.frameBuf[:0], s.walBuf)
 		if _, werr := s.wal.Write(s.frameBuf); werr != nil {
 			s.err = werr
 		}
@@ -286,7 +292,8 @@ func (s *Store) applyLocked(origin string, seq uint64, p space.Point, v float64,
 // Observe records one raw measurement for configuration p, appending it to
 // the in-memory record and, for a directory-backed store, to the WAL.
 // Invalid values (NaN, ±Inf, negative) are ignored — they are Corrupt-fault
-// garbage, not measurements. Safe for concurrent use; a nil *Store ignores
+// garbage, not measurements — and so are points of more than 1024
+// dimensions, which the WAL codec cannot hold. Safe for concurrent use; a nil *Store ignores
 // the observation, so call sites need no guards. WAL write failures are
 // sticky: the store keeps serving reads and recording in memory, and Err
 // reports the first failure.

@@ -337,3 +337,37 @@ func fileSize(t *testing.T, path string) int64 {
 	}
 	return fi.Size()
 }
+
+// TestWidePointNotPersisted: a point wider than the codec's maxDim must be
+// refused at ingest. Persisting it would write a WAL frame recovery rejects,
+// truncating the log at it — and losing every later observation — on the
+// next Open.
+func TestWidePointNotPersisted(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow := space.Point{1, 2}
+	st.Observe(narrow, 1)
+	st.Observe(make(space.Point, maxDim+1), 2)
+	st.Observe(narrow, 3)
+	if _, err := st.Apply(Frame{Origin: "peer", Seq: 1, Point: make(space.Point, maxDim+1), Value: 4}); err == nil {
+		t.Error("Apply accepted a point wider than maxDim")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if ri := st2.Recovery(); ri != nil {
+		t.Fatalf("reopen truncated the WAL: %+v", *ri)
+	}
+	if obs, ok := st2.AppendObs(nil, narrow, 0); !ok || len(obs) != 2 || obs[1] != 3 {
+		t.Fatalf("narrow observations after reopen = %v, want [1 3]", obs)
+	}
+}
