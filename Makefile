@@ -13,9 +13,9 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-# Project-specific static analysis: determinism, lock discipline, float
-# comparisons, wire-boundary error handling, seed provenance, goroutine
-# lifecycle, event hygiene, and hot-path allocation. See DESIGN.md.
+# Project-specific static analysis: the fifteen paralint rules and the
+# packages each one covers are listed in DESIGN.md "Determinism contract &
+# static analysis".
 lint:
 	$(GO) run ./cmd/paralint ./...
 
@@ -36,10 +36,10 @@ lint-sarif:
 lint-selftest:
 	$(GO) build -o "$${TMPDIR:-/tmp}/paralint-selftest" ./cmd/paralint
 	"$${TMPDIR:-/tmp}/paralint-selftest" -rules wireproto,bufalias,boundedres -json \
-	  ./internal/lint/testdata/selftest > selftest-got.json; \
+	  ./internal/lint/testdata/selftest > "$${TMPDIR:-/tmp}/selftest-got.json"; \
 	  test $$? -eq 3
-	diff -u internal/lint/testdata/selftest/expect.json selftest-got.json
-	rm -f selftest-got.json "$${TMPDIR:-/tmp}/paralint-selftest"
+	diff -u internal/lint/testdata/selftest/expect.json "$${TMPDIR:-/tmp}/selftest-got.json"
+	rm -f "$${TMPDIR:-/tmp}/selftest-got.json" "$${TMPDIR:-/tmp}/paralint-selftest"
 
 test: lint
 	$(GO) vet ./...

@@ -283,17 +283,7 @@ func soak(db *objective.DB, cfg chaos.Config, nClients, iters int, verbose bool,
 	sup, err := chaos.NewSupervisor(chaos.SupervisorConfig{
 		NewServer:       newServer,
 		CheckpointEvery: 20 * time.Millisecond,
-		Checkpoint: func(srv *harmony.Server) error {
-			data, err := srv.CheckpointAll()
-			if err != nil {
-				return err
-			}
-			tmp := ckpt + ".tmp"
-			if err := os.WriteFile(tmp, data, 0o644); err != nil {
-				return err
-			}
-			return os.Rename(tmp, ckpt)
-		},
+		Checkpoint:      func(srv *harmony.Server) error { return srv.WriteCheckpoint(ckpt) },
 	})
 	if err != nil {
 		return result{}, err

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -436,6 +438,41 @@ func TestCheckpointAllRoundTrip(t *testing.T) {
 	// Restoring on top of an existing session fails cleanly.
 	if err := srv2.RestoreAll(data); err == nil {
 		t.Error("restore over existing sessions should fail")
+	}
+}
+
+// TestWriteCheckpointRoundTrip pins the file form of CheckpointAll: the
+// written file restores every session on a fresh server.
+func TestWriteCheckpointRoundTrip(t *testing.T) {
+	db := objective.GenerateGS2(objective.GS2Config{Seed: 9, Coverage: 1})
+	est := mustMinOfK(t, 1)
+	srv := NewServer(ServerOptions{Estimator: est})
+	if err := srv.Register("one", gs2Params()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		fr := fetchWork(t, srv, "one")
+		if err := srv.Report("one", fr.Tag, db.Eval(fr.Point)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "sessions.ckpt")
+	if err := srv.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2 := NewServer(ServerOptions{Estimator: est})
+	defer srv2.Close()
+	if err := srv2.RestoreAll(data); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv2.Sessions(); len(got) != 1 || got[0] != "one" {
+		t.Fatalf("restored sessions %v, want [one]", got)
 	}
 }
 

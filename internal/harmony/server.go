@@ -967,6 +967,17 @@ func (srv *Server) CheckpointAll() ([]byte, error) {
 	return json.Marshal(cps)
 }
 
+// WriteCheckpoint writes CheckpointAll's snapshot to path through
+// measuredb.WriteFileAtomic, so a crash mid-write never leaves a truncated
+// checkpoint behind.
+func (srv *Server) WriteCheckpoint(path string) error {
+	data, err := srv.CheckpointAll()
+	if err != nil {
+		return err
+	}
+	return measuredb.WriteFileAtomic(path, data)
+}
+
 // RestoreSession recreates a session from a Checkpoint blob: the optimiser is
 // rebuilt via the server's algorithm factory, its search state restored from
 // the snapshot, and tuning resumes exactly where the checkpoint was taken —

@@ -30,7 +30,7 @@ func (*GrowthSites) AFact() {}
 // misbehaving client must not be able to grow server memory without hitting
 // an enforced ceiling.
 var BoundedRes = &Analyzer{
-	Name:      "boundedres",
+	Name:      ruleBoundedRes,
 	Doc:       "per-request growth sites (field appends, map inserts, dynamic channel sends) reachable from a conn handler must declare //paralint:bounded <limit-expr> backed by an enforced check",
 	FactTypes: []Fact{(*GrowthSites)(nil)},
 	Run:       runBoundedRes,
@@ -40,24 +40,6 @@ const (
 	boundedPrefix     = "paralint:bounded"
 	maxGrowthSiteList = 8
 )
-
-// boundedresPackages are the packages whose connection-handler paths are
-// held to the contract. Facts are computed everywhere; findings are scoped
-// here, like ctxflow.
-var boundedresPackages = []string{
-	"paratune/internal/feddb",
-	"paratune/internal/harmony",
-}
-
-func isBoundedresPackage(path string) bool {
-	path = strings.TrimSuffix(path, "_test")
-	for _, p := range boundedresPackages {
-		if path == p || strings.HasPrefix(path, p+"/") {
-			return true
-		}
-	}
-	return false
-}
 
 // boundedDecl is one parsed //paralint:bounded directive.
 type boundedDecl struct {
@@ -77,35 +59,23 @@ type growthSite struct {
 func runBoundedRes(pass *Pass) {
 	decls := parseBoundedDecls(pass)
 
-	dynChans := dynamicCapChanTypes(pass)
-
 	states := make(map[*types.Func]*boundedFnState)
 	var order []*boundedFnState
 	declsByFunc := make(map[*boundedFnState][]growthSite)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+	for _, d := range pass.ctx.funcs {
+		st := &boundedFnState{fd: d.decl, fn: d.fn, sites: make(map[string]bool)}
+		for _, site := range collectGrowthSites(pass, d.decl, decls) {
+			if site.decl != nil {
+				site.decl.bound = true
+				declsByFunc[st] = append(declsByFunc[st], site)
 				continue
 			}
-			fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			st := &boundedFnState{fd: fd, fn: fn, sites: make(map[string]bool)}
-			for _, site := range collectGrowthSites(pass, fd, dynChans, decls) {
-				if site.decl != nil {
-					site.decl.bound = true
-					declsByFunc[st] = append(declsByFunc[st], site)
-					continue
-				}
-				st.own = append(st.own, site)
-				pos := pass.Fset.Position(site.pos)
-				st.sites[site.desc+" ("+filepath.Base(pos.Filename)+":"+itoa(pos.Line)+")"] = true
-			}
-			states[fn] = st
-			order = append(order, st)
+			st.own = append(st.own, site)
+			pos := pass.Fset.Position(site.pos)
+			st.sites[site.desc+" ("+filepath.Base(pos.Filename)+":"+itoa(pos.Line)+")"] = true
 		}
+		states[d.fn] = st
+		order = append(order, st)
 	}
 
 	// Directive hygiene: malformed expressions and directives that bind no
@@ -189,7 +159,7 @@ func runBoundedRes(pass *Pass) {
 	// Reporting: in scoped packages, every function reachable from a
 	// connection handler must have no undeclared growth site, and every
 	// cross-package call from that path must target growth-free functions.
-	if pass.TestVariant || !isBoundedresPackage(pass.Pkg.Path()) {
+	if pass.TestVariant || !inScope(pass.Pkg.Path(), ruleBoundedRes) {
 		return
 	}
 	reachable := reachableFromConnHandlers(pass, states)
@@ -391,10 +361,12 @@ func parseBoundedDecls(pass *Pass) map[string]map[int]*boundedDecl {
 
 // collectGrowthSites finds the per-request growth sites in one function:
 // appends whose destination is a field path, map inserts, and sends on
-// channels some make site buffers with a non-constant capacity. Local-slice
-// appends and the append(x[:0], ...) scratch-reuse idiom are exempt; go
-// statement bodies are skipped (not the request path).
-func collectGrowthSites(pass *Pass, fd *ast.FuncDecl, dynChans map[string]bool, decls map[string]map[int]*boundedDecl) []growthSite {
+// channels some make site buffers with a non-constant capacity (an
+// unbuffered or constant-capacity channel's ceiling is fixed at compile
+// time, or by the blocked sender itself). Local-slice appends and the
+// append(x[:0], ...) scratch-reuse idiom are exempt; go statement bodies are
+// skipped (not the request path).
+func collectGrowthSites(pass *Pass, fd *ast.FuncDecl, decls map[string]map[int]*boundedDecl) []growthSite {
 	var sites []growthSite
 	add := func(pos token.Pos, desc string) {
 		p := pass.Fset.Position(pos)
@@ -440,7 +412,7 @@ func collectGrowthSites(pass *Pass, fd *ast.FuncDecl, dynChans map[string]bool, 
 			}
 		case *ast.SendStmt:
 			t := pass.Info.TypeOf(s.Chan)
-			if t == nil || !dynChans[t.String()] {
+			if t == nil || !pass.ctx.chans[t.String()].dynamic {
 				return
 			}
 			if text, ok := pass.SrcText(s.Chan.Pos(), s.Chan.End()); ok {
@@ -572,30 +544,6 @@ func identTokens(s string) []string {
 			}
 			start = -1
 		}
-	}
-	return out
-}
-
-// dynamicCapChanTypes collects channel types with at least one make site
-// whose capacity is a non-constant expression — the bounded-queue
-// backpressure channels. Unbuffered and constant-capacity channels are
-// exempt: their memory ceiling is fixed at compile time (or by the blocked
-// sender itself).
-func dynamicCapChanTypes(pass *Pass) map[string]bool {
-	out := make(map[string]bool)
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isMakeChan(pass, call) {
-				return true
-			}
-			if _, known := makeChanBuffered(pass, call); !known {
-				if t := pass.Info.TypeOf(call.Args[0]); t != nil {
-					out[t.String()] = true
-				}
-			}
-			return true
-		})
 	}
 	return out
 }

@@ -58,20 +58,10 @@ type bufFuncState struct {
 func runBufAlias(pass *Pass) {
 	states := make(map[*types.Func]*bufFuncState)
 	var order []*bufFuncState
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			st := &bufFuncState{fd: fd, fn: fn, retains: make(map[int]bool)}
-			states[fn] = st
-			order = append(order, st)
-		}
+	for _, d := range pass.ctx.funcs {
+		st := &bufFuncState{fd: d.decl, fn: d.fn, retains: make(map[int]bool)}
+		states[d.fn] = st
+		order = append(order, st)
 	}
 
 	// Root annotations. A directive on a function that returns no []byte, or

@@ -240,14 +240,18 @@ func runChanFlow(pass *Pass) {
 	}
 
 	// Blocking select under a held mutex.
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	w := &lockWalker{
+		leaf: func(n ast.Node, held heldLocks) { trackLockExprs(pass.Info, n, held) },
+		selectStmt: func(s *ast.SelectStmt, held heldLocks) {
+			if len(held) > 0 && !selectHasDefault(s) {
+				pass.Reportf(s.Select,
+					"blocking select while holding %s; the goroutine can park with the lock held, convoying every other path through it — add a default or move the select after unlocking",
+					held.anyKey())
 			}
-			walkSelectUnderLock(pass, fd.Body.List, map[string]bool{})
-		}
+		},
+	}
+	for _, d := range pass.ctx.funcs {
+		w.walk(d.decl.Body.List, heldLocks{})
 	}
 }
 
@@ -274,10 +278,10 @@ func chanAssign(pass *Pass, lhs, rhs []ast.Expr,
 		if obj == nil {
 			continue
 		}
-		if call, ok := r.(*ast.CallExpr); ok && isMakeChan(pass, call) {
+		if call, ok := r.(*ast.CallExpr); ok && isMakeChan(pass.Info, call) {
 			ci := get(obj)
 			ci.makes++
-			buffered, known := makeChanBuffered(pass, call)
+			buffered, known := makeChanBuffered(pass.Info, call)
 			if !known {
 				ci.unknownBuf = true
 			} else if !buffered {
@@ -308,15 +312,15 @@ func isChanVar(v *types.Var) bool {
 }
 
 // isMakeChan reports whether call is make(chan T[, n]).
-func isMakeChan(pass *Pass, call *ast.CallExpr) bool {
+func isMakeChan(info *types.Info, call *ast.CallExpr) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok || id.Name != "make" || len(call.Args) == 0 {
 		return false
 	}
-	if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); !isBuiltin {
+	if _, isBuiltin := info.Uses[id].(*types.Builtin); !isBuiltin {
 		return false
 	}
-	t := pass.Info.TypeOf(call.Args[0])
+	t := info.TypeOf(call.Args[0])
 	if t == nil {
 		return false
 	}
@@ -326,96 +330,15 @@ func isMakeChan(pass *Pass, call *ast.CallExpr) bool {
 
 // makeChanBuffered reports whether the make site has a constant capacity > 0;
 // known is false when the capacity is a non-constant expression.
-func makeChanBuffered(pass *Pass, call *ast.CallExpr) (buffered, known bool) {
+func makeChanBuffered(info *types.Info, call *ast.CallExpr) (buffered, known bool) {
 	if len(call.Args) < 2 {
 		return false, true
 	}
-	tv, ok := pass.Info.Types[call.Args[1]]
+	tv, ok := info.Types[call.Args[1]]
 	if !ok || tv.Value == nil {
 		return false, false
 	}
 	return tv.Value.String() != "0", true
-}
-
-// walkSelectUnderLock tracks held mutexes statement-by-statement (same model
-// as eventhygiene) and reports any select with no default clause entered
-// while a lock is held.
-func walkSelectUnderLock(pass *Pass, stmts []ast.Stmt, held map[string]bool) {
-	fork := func() map[string]bool {
-		c := make(map[string]bool, len(held))
-		for k, v := range held {
-			c[k] = v
-		}
-		return c
-	}
-	for _, stmt := range stmts {
-		switch s := stmt.(type) {
-		case *ast.DeferStmt:
-			continue
-		case *ast.GoStmt:
-			if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-				walkSelectUnderLock(pass, lit.Body.List, map[string]bool{})
-			}
-			continue
-		case *ast.BlockStmt:
-			walkSelectUnderLock(pass, s.List, held)
-			continue
-		case *ast.IfStmt:
-			if s.Init != nil {
-				walkSelectUnderLock(pass, []ast.Stmt{s.Init}, held)
-			}
-			walkSelectUnderLock(pass, s.Body.List, fork())
-			if s.Else != nil {
-				walkSelectUnderLock(pass, []ast.Stmt{s.Else}, fork())
-			}
-			continue
-		case *ast.ForStmt:
-			walkSelectUnderLock(pass, s.Body.List, fork())
-			continue
-		case *ast.RangeStmt:
-			walkSelectUnderLock(pass, s.Body.List, fork())
-			continue
-		case *ast.SwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					walkSelectUnderLock(pass, cc.Body, fork())
-				}
-			}
-			continue
-		case *ast.TypeSwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					walkSelectUnderLock(pass, cc.Body, fork())
-				}
-			}
-			continue
-		case *ast.SelectStmt:
-			if len(held) > 0 && !selectHasDefault(s) {
-				pass.Reportf(s.Select,
-					"blocking select while holding %s; the goroutine can park with the lock held, convoying every other path through it — add a default or move the select after unlocking",
-					anyKey(held))
-			}
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					walkSelectUnderLock(pass, cc.Body, fork())
-				}
-			}
-			continue
-		}
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok {
-				if key, op := mutexOp(pass.Info, call); op > 0 {
-					held[key] = true
-				} else if op < 0 {
-					delete(held, key)
-				}
-			}
-			return true
-		})
-	}
 }
 
 // selectHasDefault reports whether sel has a default clause.

@@ -21,35 +21,12 @@ type CtxAware struct {
 // AFact marks CtxAware as a paralint fact.
 func (*CtxAware) AFact() {}
 
-// ctxflowPackages are the packages whose blocking operations must be
-// cancellable: every channel op reachable from a request path must carry a
-// way out — a ctx.Done()/done-channel arm in its select, a timer arm, or a
-// provably buffered (hence non-blocking) send. The harmony server, the chaos
-// layer, and the cluster simulator all host goroutines that outlive a single
-// call; one uncancellable park wedges shutdown or leaks the goroutine.
-var ctxflowPackages = []string{
-	"paratune/internal/chaos",
-	"paratune/internal/cluster",
-	"paratune/internal/feddb",
-	"paratune/internal/harmony",
-}
-
-func isCtxflowPackage(path string) bool {
-	path = strings.TrimSuffix(path, "_test")
-	for _, p := range ctxflowPackages {
-		if path == p || strings.HasPrefix(path, p+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 // CtxFlow checks that blocking channel operations in the server/simulator
 // packages are cancellable, and propagates the property across calls via
 // CtxAware facts so a scoped package cannot launder an uncancellable park
 // through a helper in another package.
 var CtxFlow = &Analyzer{
-	Name:      "ctxflow",
+	Name:      ruleCtxFlow,
 	Doc:       "blocking channel ops in harmony/chaos/cluster must be cancellable (ctx.Done arm, done channel, timer, or provably buffered)",
 	FactTypes: []Fact{(*CtxAware)(nil)},
 	Run:       runCtxFlow,
@@ -58,11 +35,6 @@ var CtxFlow = &Analyzer{
 // ctxEnv is the package-wide evidence the per-function walk consults.
 type ctxEnv struct {
 	pass *Pass
-	// bufferedType maps a channel type string to true when every make of
-	// that type in the package has a constant capacity >= 1 — a send on such
-	// a channel blocks only when the handshake is already broken, so sends
-	// are exempt. (Receives are not: a buffered channel can be empty.)
-	bufferedType map[string]bool
 	// closedObjs holds channel objects passed to close() anywhere in the
 	// package: receiving from one is a cancellation arm by convention (the
 	// close broadcasts).
@@ -70,11 +42,7 @@ type ctxEnv struct {
 }
 
 func runCtxFlow(pass *Pass) {
-	env := &ctxEnv{
-		pass:         pass,
-		bufferedType: bufferedChanTypes(pass),
-		closedObjs:   closedChanObjs(pass),
-	}
+	env := &ctxEnv{pass: pass, closedObjs: closedChanObjs(pass)}
 
 	// Fixpoint over the package's functions: a function blocks uncancellably
 	// if it contains such a site or calls (synchronously) a function that
@@ -87,20 +55,10 @@ func runCtxFlow(pass *Pass) {
 	}
 	var fns []*funcInfo
 	byObj := make(map[*types.Func]*funcInfo)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			fi := &funcInfo{fn: fn, decl: fd}
-			fns = append(fns, fi)
-			byObj[fn] = fi
-		}
+	for _, d := range pass.ctx.funcs {
+		fi := &funcInfo{fn: d.fn, decl: d.decl}
+		fns = append(fns, fi)
+		byObj[d.fn] = fi
 	}
 	blockingCallee := func(call *ast.CallExpr) (bool, string) {
 		fn := calleeAnyFunc(pass.Info, call)
@@ -137,7 +95,7 @@ func runCtxFlow(pass *Pass) {
 
 	// Reporting is scoped and skips test variants: tests park on channels
 	// deliberately (the testing framework is their watchdog).
-	if pass.TestVariant || !isCtxflowPackage(pass.Pkg.Path()) {
+	if pass.TestVariant || !inScope(pass.Pkg.Path(), ruleCtxFlow) {
 		return
 	}
 	for _, fi := range fns {
@@ -218,7 +176,7 @@ func reportCtxFlow(env *ctxEnv, fd *ast.FuncDecl, blockingCallee func(*ast.CallE
 			}
 		case *ast.CallExpr:
 			fn := calleeAnyFunc(pass.Info, s)
-			if fn == nil || fn.Pkg() == nil || isCtxflowPackage(fn.Pkg().Path()) {
+			if fn == nil || fn.Pkg() == nil || inScope(fn.Pkg().Path(), ruleCtxFlow) {
 				return true // in-scope callees are reported at their own site
 			}
 			if blocks, why := blockingCallee(s); blocks {
@@ -230,16 +188,17 @@ func reportCtxFlow(env *ctxEnv, fd *ast.FuncDecl, blockingCallee func(*ast.CallE
 	})
 }
 
-// sendExempt reports whether a send statement cannot park forever: the
-// channel's type is provably buffered at every make site in the package, or
-// the channel is a cancellation-style closed channel (sending on one is a
-// bug, but not this rule's bug).
+// sendExempt reports whether a send statement cannot park forever: every
+// make site of the channel's type in the package has a constant capacity
+// >= 1, so a send blocks only when the handshake is already broken.
+// (Receives get no such pass: a buffered channel can be empty.)
 func (env *ctxEnv) sendExempt(s *ast.SendStmt) bool {
 	t := env.pass.Info.TypeOf(s.Chan)
 	if t == nil {
 		return true // undertyped; don't guess
 	}
-	return env.bufferedType[t.String()]
+	c, ok := env.pass.ctx.chans[t.String()]
+	return ok && c.buffered()
 }
 
 // recvExempt reports whether a receive expression carries its own
@@ -378,41 +337,6 @@ func chanExprObj(info *types.Info, x ast.Expr) types.Object {
 		}
 	}
 	return nil
-}
-
-// bufferedChanTypes collects channel types whose every make site in the
-// package has a constant capacity >= 1.
-func bufferedChanTypes(pass *Pass) map[string]bool {
-	status := make(map[string]int) // 1 = all buffered so far, 2 = poisoned
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isMakeChan(pass, call) {
-				return true
-			}
-			t := pass.Info.TypeOf(call.Args[0])
-			if t == nil {
-				return true
-			}
-			buffered, known := makeChanBuffered(pass, call)
-			key := t.String()
-			if known && buffered {
-				if status[key] == 0 {
-					status[key] = 1
-				}
-			} else {
-				status[key] = 2
-			}
-			return true
-		})
-	}
-	out := make(map[string]bool)
-	for key, st := range status {
-		if st == 1 {
-			out[key] = true
-		}
-	}
-	return out
 }
 
 // closedChanObjs collects every channel variable passed to close() in the

@@ -6,45 +6,6 @@ import (
 	"strings"
 )
 
-// simPackages are the seed-pure simulation packages: everything the paper's
-// §6 figures are computed from. Code here must be a pure function of its
-// inputs and an injected seed — wall-clock reads or the process-global rand
-// source make a figure irreproducible in a way no test can pin down.
-// internal/event is included because its stream must be byte-identical
-// across same-seed runs: events carry virtual time only, and a wall-clock
-// read anywhere in the recorder path would silently break the golden traces.
-// internal/measuredb is included for the same reason: same-seed runs must
-// produce byte-identical WAL and snapshot files, so nothing time- or
-// map-order-dependent may reach the encoder.
-// internal/chaos is included because its whole contract is that the fault
-// plan replays byte-identically from a seed: a wall-clock read in the
-// schedule path would break same-seed trace comparison.
-// internal/frame is included because its bytes reach the WAL and snapshot
-// files: it is the encoder those byte-identical files are built with.
-var simPackages = []string{
-	"paratune/internal/baseline",
-	"paratune/internal/chaos",
-	"paratune/internal/cluster",
-	"paratune/internal/core",
-	"paratune/internal/dist",
-	"paratune/internal/event",
-	"paratune/internal/experiment",
-	"paratune/internal/frame",
-	"paratune/internal/measuredb",
-	"paratune/internal/noise",
-	"paratune/internal/objective",
-	"paratune/internal/stats",
-}
-
-func isSimPackage(path string) bool {
-	for _, p := range simPackages {
-		if path == p || strings.HasPrefix(path, p+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 // Determinism flags nondeterminism sources that break seeded reproduction:
 // wall-clock reads (time.Now/Since/Until) inside simulation packages,
 // process-global math/rand calls anywhere, and RNG sources seeded from the
@@ -52,13 +13,13 @@ func isSimPackage(path string) bool {
 // logging) lives outside the simulation packages or carries a
 // //paralint:allow determinism annotation.
 var Determinism = &Analyzer{
-	Name: "determinism",
+	Name: ruleDeterminism,
 	Doc:  "flag wall-clock time and unseeded randomness in seed-pure code",
 	Run:  runDeterminism,
 }
 
 func runDeterminism(pass *Pass) {
-	sim := isSimPackage(pass.Pkg.Path())
+	sim := inScope(pass.Pkg.Path(), ruleDeterminism)
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)

@@ -3,13 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
-
-// errDisciplinePackages is the wire boundary: the harmony server/client is
-// the one place where a swallowed error silently turns a lost measurement
-// into a wedged session or a double-counted report.
-var errDisciplinePackages = []string{"paratune/internal/harmony"}
 
 // errDisciplineExempt names best-effort cleanup calls whose errors carry no
 // recovery information at the call site.
@@ -27,21 +21,13 @@ var errDisciplineExempt = map[string]bool{
 // is exempt; anything else that genuinely wants to drop an error documents
 // it with //paralint:allow errdiscipline.
 var ErrDiscipline = &Analyzer{
-	Name: "errdiscipline",
+	Name: ruleErrDiscipline,
 	Doc:  "no discarded errors at the harmony wire boundary",
 	Run:  runErrDiscipline,
 }
 
 func runErrDiscipline(pass *Pass) {
-	path := pass.Pkg.Path()
-	in := false
-	for _, p := range errDisciplinePackages {
-		if path == p || strings.HasPrefix(path, p+"/") {
-			in = true
-			break
-		}
-	}
-	if !in {
+	if !inScope(pass.Pkg.Path(), ruleErrDiscipline) {
 		return
 	}
 	for _, file := range pass.Files {

@@ -63,18 +63,6 @@ func runEventHygiene(pass *Pass) {
 	// Phase 1: mark this package's functions that transitively emit, and
 	// export the facts.
 	emits := make(map[*types.Func]bool)
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-				decls[fn] = fd
-			}
-		}
-	}
 	isEmitter := func(fn *types.Func) bool {
 		if emits[fn] {
 			return true
@@ -84,12 +72,12 @@ func runEventHygiene(pass *Pass) {
 	}
 	for changed := true; changed; {
 		changed = false
-		for fn, fd := range decls {
-			if emits[fn] {
+		for _, d := range pass.ctx.funcs {
+			if emits[d.fn] {
 				continue
 			}
 			found := false
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
+			ast.Inspect(d.decl.Body, func(n ast.Node) bool {
 				if found {
 					return false
 				}
@@ -99,13 +87,13 @@ func runEventHygiene(pass *Pass) {
 				}
 				if isRecordCall(pass.Info, call) {
 					found = true
-				} else if callee := calleeAnyFunc(pass.Info, call); callee != nil && callee != fn && isEmitter(callee) {
+				} else if callee := calleeAnyFunc(pass.Info, call); callee != nil && callee != d.fn && isEmitter(callee) {
 					found = true
 				}
 				return !found
 			})
 			if found {
-				emits[fn] = true
+				emits[d.fn] = true
 				changed = true
 			}
 		}
@@ -132,13 +120,23 @@ func runEventHygiene(pass *Pass) {
 		})
 	}
 
-	// Phase 3: no emission while a mutex is held.
-	for _, fd := range decls {
-		held := make(map[string]bool)
-		if strings.HasSuffix(fd.Name.Name, "Locked") {
-			held["<caller>"] = true // ...Locked convention: caller holds a lock
+	// Phase 3: no emission while a mutex is held. Lock ops are accounted
+	// after the emission check of the same statement (mu.Lock();
+	// rec.Record(e) on one line is two statements, so ordering within one
+	// statement is moot).
+	w := &lockWalker{
+		leaf: func(n ast.Node, held heldLocks) {
+			checkEmissions(pass, n, held, isEmitter)
+			trackLockExprs(pass.Info, n, held)
+		},
+		expr: func(n ast.Node, held heldLocks) { checkEmissions(pass, n, held, isEmitter) },
+	}
+	for _, d := range pass.ctx.funcs {
+		held := heldLocks{}
+		if strings.HasSuffix(d.decl.Name.Name, "Locked") {
+			held[callerLock] = true // ...Locked convention: caller holds a lock
 		}
-		walkLockStmts(pass, fd.Body.List, held, isEmitter)
+		w.walk(d.decl.Body.List, held)
 	}
 }
 
@@ -173,131 +171,14 @@ func checkEventPayload(pass *Pass, arg ast.Expr) {
 	})
 }
 
-// mutexOp classifies call as a lock operation on a sync.Mutex/RWMutex,
-// returning a stable key for the lock expression and +1 (acquire), -1
-// (release), or 0 (not a lock op).
-func mutexOp(info *types.Info, call *ast.CallExpr) (key string, op int) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", 0
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		op = 1
-	case "Unlock", "RUnlock":
-		op = -1
-	default:
-		return "", 0
-	}
-	fn := calleeAnyFunc(info, call)
-	if fn == nil {
-		return "", 0
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || !isMutexType(sig.Recv().Type()) {
-		return "", 0
-	}
-	return types.ExprString(sel.X), op
-}
-
-// walkLockStmts interprets stmts in order, maintaining the set of held lock
-// keys, and reports any event emission made while the set is non-empty.
-// Branch bodies fork a copy of the set: an unlock on one path does not clear
-// another.
-func walkLockStmts(pass *Pass, stmts []ast.Stmt, held map[string]bool, isEmitter func(*types.Func) bool) {
-	fork := func() map[string]bool {
-		c := make(map[string]bool, len(held))
-		for k, v := range held {
-			c[k] = v
-		}
-		return c
-	}
-	for _, stmt := range stmts {
-		switch s := stmt.(type) {
-		case *ast.DeferStmt:
-			// defer mu.Unlock() keeps the lock held for the rest of the
-			// function; a deferred closure runs outside this lock scope.
-			continue
-		case *ast.GoStmt:
-			// The goroutine body runs on its own stack without our locks;
-			// only the call's arguments evaluate here.
-			for _, a := range s.Call.Args {
-				checkEmissions(pass, a, held, isEmitter)
-			}
-			if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-				walkLockStmts(pass, lit.Body.List, make(map[string]bool), isEmitter)
-			}
-			continue
-		case *ast.BlockStmt:
-			walkLockStmts(pass, s.List, held, isEmitter)
-			continue
-		case *ast.IfStmt:
-			if s.Init != nil {
-				walkLockStmts(pass, []ast.Stmt{s.Init}, held, isEmitter)
-			}
-			checkEmissions(pass, s.Cond, held, isEmitter)
-			walkLockStmts(pass, s.Body.List, fork(), isEmitter)
-			if s.Else != nil {
-				walkLockStmts(pass, []ast.Stmt{s.Else}, fork(), isEmitter)
-			}
-			continue
-		case *ast.ForStmt:
-			walkLockStmts(pass, s.Body.List, fork(), isEmitter)
-			continue
-		case *ast.RangeStmt:
-			checkEmissions(pass, s.X, held, isEmitter)
-			walkLockStmts(pass, s.Body.List, fork(), isEmitter)
-			continue
-		case *ast.SwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					walkLockStmts(pass, cc.Body, fork(), isEmitter)
-				}
-			}
-			continue
-		case *ast.TypeSwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					walkLockStmts(pass, cc.Body, fork(), isEmitter)
-				}
-			}
-			continue
-		case *ast.SelectStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					walkLockStmts(pass, cc.Body, fork(), isEmitter)
-				}
-			}
-			continue
-		}
-		// Leaf statement: first account lock ops, then check emissions with
-		// the pre-statement state (mu.Lock(); rec.Record(e) on one line is
-		// two statements, so ordering within one statement is moot).
-		checkEmissions(pass, stmt, held, isEmitter)
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok {
-				if key, op := mutexOp(pass.Info, call); op > 0 {
-					held[key] = true
-				} else if op < 0 {
-					delete(held, key)
-				}
-			}
-			return true
-		})
-	}
-}
-
 // checkEmissions reports Record calls (and calls to EmitsEvent functions)
 // in n's expression tree while held is non-empty, skipping nested function
 // literals (their bodies run in their own lock scope).
-func checkEmissions(pass *Pass, n ast.Node, held map[string]bool, isEmitter func(*types.Func) bool) {
+func checkEmissions(pass *Pass, n ast.Node, held heldLocks, isEmitter func(*types.Func) bool) {
 	if len(held) == 0 || n == nil {
 		return
 	}
-	lock := anyKey(held)
+	lock := held.anyKey()
 	ast.Inspect(n, func(m ast.Node) bool {
 		if _, ok := m.(*ast.FuncLit); ok {
 			return false
@@ -317,18 +198,4 @@ func checkEmissions(pass *Pass, n ast.Node, held map[string]bool, isEmitter func
 		}
 		return true
 	})
-}
-
-// anyKey returns a deterministic representative held-lock key for messages.
-func anyKey(held map[string]bool) string {
-	best := ""
-	for k := range held {
-		if best == "" || k < best {
-			best = k
-		}
-	}
-	if best == "<caller>" {
-		return "the caller's lock (…Locked convention)"
-	}
-	return best
 }

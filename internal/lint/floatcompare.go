@@ -8,21 +8,6 @@ import (
 	"strings"
 )
 
-// floatComparePackages are the rank-ordering and statistics packages where a
-// float == decides which candidate wins a comparison. There, exact equality
-// is almost always a latent tie-handling bug: two estimates that differ only
-// in the last ulp must be treated as a tie, not an ordering, or PRO's accept
-// /reject decisions flip between platforms. Exact comparisons that are
-// genuinely intended (collapsing identical samples in an ECDF) carry a
-// //paralint:allow floatcompare annotation naming why.
-var floatComparePackages = []string{
-	"paratune/internal/baseline",
-	"paratune/internal/core",
-	"paratune/internal/sample",
-	"paratune/internal/space",
-	"paratune/internal/stats",
-}
-
 // FloatCompare flags ==/!= between floating-point operands in rank-ordering
 // and stats packages. Comparisons against an exact zero (sentinel/unset
 // checks) and NaN self-tests (x != x) are exempt. Test files are exempt
@@ -33,7 +18,7 @@ var floatComparePackages = []string{
 // suggested fix rewriting `a == b` to `stats.ApproxEqual(a, b,
 // stats.DefaultTol)` (negated for !=), applied by `paralint -fix`.
 var FloatCompare = &Analyzer{
-	Name: "floatcompare",
+	Name: ruleFloatCompare,
 	Doc:  "no ==/!= on floats in rank-ordering and stats code",
 	Run:  runFloatCompare,
 }
@@ -44,15 +29,7 @@ func runFloatCompare(pass *Pass) {
 	if pass.TestVariant {
 		return // exact equality against pinned goldens is the test idiom
 	}
-	path := pass.Pkg.Path()
-	in := false
-	for _, p := range floatComparePackages {
-		if path == p || strings.HasPrefix(path, p+"/") {
-			in = true
-			break
-		}
-	}
-	if !in {
+	if !inScope(pass.Pkg.Path(), ruleFloatCompare) {
 		return
 	}
 	for _, file := range pass.Files {

@@ -3,31 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
-
-// lifecyclePackages are the packages whose goroutines must be provably
-// joinable or cancellable: the harmony server (long-lived network
-// goroutines), the cluster simulator (worker fan-out), and the core engine
-// (async evaluation plumbing). A leaked goroutine in any of them either
-// corrupts a later measurement or wedges shutdown.
-var lifecyclePackages = []string{
-	"paratune/internal/chaos",
-	"paratune/internal/cluster",
-	"paratune/internal/feddb",
-	"paratune/internal/core",
-	"paratune/internal/harmony",
-}
-
-func isLifecyclePackage(path string) bool {
-	path = strings.TrimSuffix(path, "_test")
-	for _, p := range lifecyclePackages {
-		if path == p || strings.HasPrefix(path, p+"/") {
-			return true
-		}
-	}
-	return false
-}
 
 // GoroutineJoins is the cross-package fact marking a function whose body
 // contains join/cancel machinery — a channel receive, send, or close, a
@@ -47,7 +23,7 @@ func (*GoroutineJoins) String() string { return "GoroutineJoins" }
 // shutdown story — they outlive Close, race the test harness, and turn a
 // deterministic simulation into a flaky one.
 var GoroutineLifecycle = &Analyzer{
-	Name:      "goroutinelifecycle",
+	Name:      ruleLifecycle,
 	Doc:       "go statements in harmony/cluster/core must have a join or cancel path",
 	FactTypes: []Fact{(*GoroutineJoins)(nil)},
 	Run:       runGoroutineLifecycle,
@@ -58,18 +34,6 @@ func runGoroutineLifecycle(pass *Pass) {
 	// package, to a fixpoint so wrappers that delegate to an evidenced
 	// sibling count too, and export facts for dependents.
 	evidence := make(map[*types.Func]bool)
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-				decls[fn] = fd
-			}
-		}
-	}
 	hasEvidence := func(fn *types.Func) bool {
 		if evidence[fn] {
 			return true
@@ -79,24 +43,22 @@ func runGoroutineLifecycle(pass *Pass) {
 	}
 	for changed := true; changed; {
 		changed = false
-		for fn, fd := range decls {
-			if evidence[fn] {
+		for _, d := range pass.ctx.funcs {
+			if evidence[d.fn] {
 				continue
 			}
-			if joinEvidence(pass, fd.Body, hasEvidence) {
-				evidence[fn] = true
+			if joinEvidence(pass, d.decl.Body, hasEvidence) {
+				evidence[d.fn] = true
 				changed = true
 			}
 		}
 	}
-	for fn, ok := range evidence {
-		if ok {
-			pass.ExportObjectFact(fn, &GoroutineJoins{})
-		}
+	for fn := range evidence {
+		pass.ExportObjectFact(fn, &GoroutineJoins{})
 	}
 
 	// Phase 2: check go statements in the lifecycle packages.
-	if !isLifecyclePackage(pass.Pkg.Path()) {
+	if !inScope(pass.Pkg.Path(), ruleLifecycle) {
 		return
 	}
 	for _, file := range pass.Files {

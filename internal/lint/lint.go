@@ -39,9 +39,10 @@
 //   - chanflow: a send on an unbuffered channel needs a provable receiver, a
 //     ranged channel needs a close, and a select with no default must not
 //     run under a held mutex.
-//   - ctxflow: blocking channel operations in harmony/chaos/cluster must be
-//     cancellable (ctx.Done()/done-channel/timer arm, or a provably
-//     buffered send); CtxAware facts carry the property across calls.
+//   - ctxflow: blocking channel operations in the long-running service
+//     packages must be cancellable (ctx.Done()/done-channel/timer arm, or a
+//     provably buffered send); CtxAware facts carry the property across
+//     calls.
 //   - atomics: a variable accessed via sync/atomic anywhere must be
 //     accessed atomically everywhere.
 //
@@ -63,6 +64,12 @@
 //     handler must carry a //paralint:bounded <limit-expr> directive
 //     backed by an enforced comparison, generalizing the
 //     MaxPendingReports pattern.
+//
+// Seven of the rules report only in some packages; scope.go declares which,
+// and why, in one table. The rules also share one function index and one
+// make(chan) census per package (pkgContext), and the three lock-tracking
+// rules share one lock-op classifier and one held-lock statement
+// interpreter (lockwalk.go).
 //
 // A finding can be suppressed with a comment on the same line or the line
 // immediately above:
@@ -161,11 +168,14 @@ type Pass struct {
 }
 
 // pkgContext is the per-package state shared by every analyzer pass:
-// suppression directives, hotpath annotations, and the source map.
+// suppression directives, hotpath annotations, the source map, the function
+// index, and the make(chan) census.
 type pkgContext struct {
 	pkg     *Package
 	allow   map[string]map[int]map[string]bool // filename -> line -> allowed rules
 	hotpath map[string]map[int]bool            // filename -> line carrying //paralint:hotpath
+	funcs   []funcDecl
+	chans   map[string]chanMakes // channel type string -> its make sites
 }
 
 func newPkgContext(pkg *Package) *pkgContext {
@@ -173,7 +183,67 @@ func newPkgContext(pkg *Package) *pkgContext {
 		pkg:     pkg,
 		allow:   allowIndex(pkg),
 		hotpath: directiveLineIndex(pkg, hotpathPrefix),
+		funcs:   funcIndex(pkg),
+		chans:   chanCensus(pkg),
 	}
+}
+
+// funcDecl is one function or method declaration with a body.
+type funcDecl struct {
+	fn   *types.Func
+	decl *ast.FuncDecl
+}
+
+// funcIndex lists the package's function declarations with bodies in source
+// order, so fixpoints over them run in a fixed order.
+func funcIndex(pkg *Package) []funcDecl {
+	var out []funcDecl
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+				out = append(out, funcDecl{fn: fn, decl: fd})
+			}
+		}
+	}
+	return out
+}
+
+// chanMakes summarises the make sites of one channel type in a package.
+type chanMakes struct {
+	unbuffered bool // some site has no capacity or a constant zero one
+	dynamic    bool // some site's capacity is not a constant
+}
+
+// buffered reports whether every make site has a constant capacity >= 1.
+func (c chanMakes) buffered() bool { return !c.unbuffered && !c.dynamic }
+
+// chanCensus classifies every make(chan) site in the package by channel
+// type.
+func chanCensus(pkg *Package) map[string]chanMakes {
+	out := make(map[string]chanMakes)
+	for _, file := range pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || !isMakeChan(pkg.Info, call) {
+				return true
+			}
+			key := pkg.Info.TypeOf(call.Args[0]).String()
+			c := out[key]
+			switch buffered, known := makeChanBuffered(pkg.Info, call); {
+			case !known:
+				c.dynamic = true
+			case !buffered:
+				c.unbuffered = true
+			}
+			out[key] = c
+			return true
+		})
+	}
+	return out
 }
 
 // Reportf records a finding at pos unless a //paralint:allow comment

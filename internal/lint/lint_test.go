@@ -87,6 +87,7 @@ func runGolden(t *testing.T, a *Analyzer, dir, importPath string) {
 
 func TestDeterminismSimPackage(t *testing.T) {
 	runGolden(t, Determinism, "determinism_sim", "paratune/internal/cluster")
+	runGolden(t, Determinism, "determinism_sim", "paratune/internal/sample")
 }
 
 // TestDeterminismEventPackage pins that the event stream layer is held to
@@ -131,6 +132,40 @@ func TestErrDisciplineScope(t *testing.T) {
 
 func TestSeedFlow(t *testing.T) {
 	runGolden(t, SeedFlow, "seedflow", "paratune/internal/noise")
+	runGolden(t, SeedFlow, "seedflow", "paratune/internal/core")
+}
+
+// TestScopeTableNamesModulePackages pins the scope table to the module: a
+// renamed or deleted package must not silently fall out of a rule's scope,
+// and every scoped rule must name a real analyzer.
+func TestScopeTableNamesModulePackages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lists the whole module")
+	}
+	listed, err := goList(filepath.Join("..", ".."), []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	module := make(map[string]bool)
+	for _, p := range listed {
+		if plainEntry(&p) && p.Module != nil {
+			module[p.ImportPath] = true
+		}
+	}
+	rules := make(map[string]bool)
+	for _, a := range Analyzers() {
+		rules[a.Name] = true
+	}
+	for pkg, scoped := range scopeTable {
+		if !module[pkg] {
+			t.Errorf("scope table names %s, which is not a package of the module", pkg)
+		}
+		for _, r := range scoped {
+			if !rules[r] {
+				t.Errorf("scope table entry %s names unknown rule %q", pkg, r)
+			}
+		}
+	}
 }
 
 // TestSeedFlowFactPropagation is the cross-package dataflow test: package A

@@ -90,19 +90,6 @@ func structGuards(t types.Type) *guardSet {
 	return &gs
 }
 
-func isMutexType(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
-}
-
 // checkMethod reports the first guarded-field access in a method that never
 // acquires the receiver's mutex.
 func checkMethod(pass *Pass, fd *ast.FuncDecl, recvObj *types.Var, gs *guardSet) {
@@ -173,8 +160,8 @@ func lockedRenameFix(pass *Pass, fd *ast.FuncDecl, recvObj *types.Var, gs *guard
 // isLockAcquire matches recv.mu.Lock(), recv.mu.RLock(), and — for an
 // embedded mutex — recv.Lock()/recv.RLock().
 func isLockAcquire(info *types.Info, call *ast.CallExpr, recvObj *types.Var, gs *guardSet) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
+	sel, op, _ := lockOp(info, call)
+	if op <= 0 {
 		return false
 	}
 	switch x := ast.Unparen(sel.X).(type) {

@@ -65,27 +65,10 @@ func runLockOrder(pass *Pass) {
 	// acquired inside a `go` statement's body belongs to the launched
 	// goroutine, not to this function's acquisition order, so GoStmt
 	// subtrees are excluded.
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-				decls[fn] = fd
-			}
-		}
-	}
 	local := make(map[*types.Func]map[string]bool)
 	lockSetOf := func(fn *types.Func) []string {
 		if set, ok := local[fn]; ok {
-			keys := make([]string, 0, len(set))
-			for k := range set {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			return keys
+			return sortedKeys(set)
 		}
 		var ls LockSet
 		if pass.ImportObjectFact(fn, &ls) {
@@ -93,28 +76,28 @@ func runLockOrder(pass *Pass) {
 		}
 		return nil
 	}
-	for fn, fd := range decls {
+	for _, d := range pass.ctx.funcs {
 		set := make(map[string]bool)
-		inspectSkippingGo(fd.Body, func(n ast.Node) {
+		inspectSkippingGo(d.decl.Body, func(n ast.Node) {
 			if call, ok := n.(*ast.CallExpr); ok {
-				if lc, op, _ := lockOpClass(pass, call); op > 0 && lc != nil {
+				if lc, op := lockOpClass(pass, call); op > 0 && lc != nil {
 					set[lc.key] = true
 				}
 			}
 		})
-		local[fn] = set
+		local[d.fn] = set
 	}
 	for changed := true; changed; {
 		changed = false
-		for fn, fd := range decls {
-			set := local[fn]
-			inspectSkippingGo(fd.Body, func(n ast.Node) {
+		for _, d := range pass.ctx.funcs {
+			set := local[d.fn]
+			inspectSkippingGo(d.decl.Body, func(n ast.Node) {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return
 				}
 				callee := calleeAnyFunc(pass.Info, call)
-				if callee == nil || callee == fn {
+				if callee == nil || callee == d.fn {
 					return
 				}
 				for _, k := range lockSetOf(callee) {
@@ -126,23 +109,39 @@ func runLockOrder(pass *Pass) {
 			})
 		}
 	}
-	for fn, set := range local {
-		if len(set) == 0 {
-			continue
+	for _, d := range pass.ctx.funcs {
+		if set := local[d.fn]; len(set) > 0 {
+			pass.ExportObjectFact(d.fn, &LockSet{Locks: sortedKeys(set)})
 		}
-		keys := make([]string, 0, len(set))
-		for k := range set {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		pass.ExportObjectFact(fn, &LockSet{Locks: keys})
 	}
 
 	// Phase 2: statement-level interpretation of every function, recording
 	// an edge for each acquisition made while another lock class is held.
-	for _, fd := range decls {
-		walkLockOrder(pass, fd.Body.List, map[string]token.Pos{}, lockSetOf)
+	// defer mu.Unlock() keeps the lock held to the end, which the held set
+	// already models by not releasing it. Any other deferred call is
+	// approximated at the defer site with the current held set (a defer
+	// under `lock; defer unlock` runs before the unlock).
+	w := &lockWalker{}
+	visit := func(n ast.Node, held heldLocks) { lockOrderExpr(pass, w, n, held, lockSetOf) }
+	w.leaf, w.expr = visit, visit
+	w.deferStmt = func(s *ast.DeferStmt, held heldLocks) {
+		if _, op := lockOpClass(pass, s.Call); op >= 0 {
+			visit(s.Call, held)
+		}
 	}
+	for _, d := range pass.ctx.funcs {
+		w.walk(d.decl.Body.List, heldLocks{})
+	}
+}
+
+// sortedKeys returns the set's members in ascending order.
+func sortedKeys(set map[string]bool) []string {
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // inspectSkippingGo is ast.Inspect minus GoStmt subtrees (the argument
@@ -162,37 +161,15 @@ func inspectSkippingGo(body ast.Node, visit func(ast.Node)) {
 }
 
 // lockOpClass classifies call as a lock operation on a resolvable lock class,
-// returning the class, +1 (acquire) / -1 (release) / 0 (not a lock op), and
-// whether it is a read-side op. RLock counts as an acquire: a read-lock cycle
-// still deadlocks against a writer waiting in between.
-func lockOpClass(pass *Pass, call *ast.CallExpr) (*lockClass, int, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil, 0, false
+// returning the class and +1 (acquire) / -1 (release) / 0 (not a lock op).
+// RLock counts as an acquire: a read-lock cycle still deadlocks against a
+// writer waiting in between.
+func lockOpClass(pass *Pass, call *ast.CallExpr) (*lockClass, int) {
+	sel, op, _ := lockOp(pass.Info, call)
+	if op == 0 {
+		return nil, 0
 	}
-	var op int
-	read := false
-	switch sel.Sel.Name {
-	case "Lock":
-		op = 1
-	case "RLock":
-		op, read = 1, true
-	case "Unlock":
-		op = -1
-	case "RUnlock":
-		op, read = -1, true
-	default:
-		return nil, 0, false
-	}
-	fn := calleeAnyFunc(pass.Info, call)
-	if fn == nil {
-		return nil, 0, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || !isMutexType(sig.Recv().Type()) {
-		return nil, 0, false
-	}
-	return resolveLockClass(pass, sel.X), op, read
+	return resolveLockClass(pass, sel.X), op
 }
 
 // resolveLockClass maps the mutex operand expression to its lock class:
@@ -390,91 +367,12 @@ func embeddedMutexClassFromSpec(pass *Pass, sp *ast.TypeSpec) *lockClass {
 	return embeddedMutexClass(tn.Type())
 }
 
-// walkLockOrder interprets stmts, maintaining the held lock classes (key ->
-// acquisition position), and records an acquisition-order edge for every lock
-// class acquired — directly or via a call's LockSet — while another is held.
-// The shape mirrors eventhygiene's walkLockStmts: defer Unlock holds to the
-// end of the function, branches fork the held set, go bodies start empty.
-func walkLockOrder(pass *Pass, stmts []ast.Stmt, held map[string]token.Pos, lockSetOf func(*types.Func) []string) {
-	fork := func() map[string]token.Pos {
-		c := make(map[string]token.Pos, len(held))
-		for k, v := range held {
-			c[k] = v
-		}
-		return c
-	}
-	for _, stmt := range stmts {
-		switch s := stmt.(type) {
-		case *ast.GoStmt:
-			// Argument expressions evaluate here under our locks; the body
-			// runs on its own stack with none of them.
-			for _, a := range s.Call.Args {
-				lockOrderExpr(pass, a, held, lockSetOf)
-			}
-			if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-				walkLockOrder(pass, lit.Body.List, map[string]token.Pos{}, lockSetOf)
-			}
-			continue
-		case *ast.BlockStmt:
-			walkLockOrder(pass, s.List, held, lockSetOf)
-			continue
-		case *ast.IfStmt:
-			if s.Init != nil {
-				walkLockOrder(pass, []ast.Stmt{s.Init}, held, lockSetOf)
-			}
-			lockOrderExpr(pass, s.Cond, held, lockSetOf)
-			walkLockOrder(pass, s.Body.List, fork(), lockSetOf)
-			if s.Else != nil {
-				walkLockOrder(pass, []ast.Stmt{s.Else}, fork(), lockSetOf)
-			}
-			continue
-		case *ast.ForStmt:
-			walkLockOrder(pass, s.Body.List, fork(), lockSetOf)
-			continue
-		case *ast.RangeStmt:
-			lockOrderExpr(pass, s.X, held, lockSetOf)
-			walkLockOrder(pass, s.Body.List, fork(), lockSetOf)
-			continue
-		case *ast.SwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					walkLockOrder(pass, cc.Body, fork(), lockSetOf)
-				}
-			}
-			continue
-		case *ast.TypeSwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					walkLockOrder(pass, cc.Body, fork(), lockSetOf)
-				}
-			}
-			continue
-		case *ast.SelectStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					walkLockOrder(pass, cc.Body, fork(), lockSetOf)
-				}
-			}
-			continue
-		case *ast.DeferStmt:
-			// defer mu.Unlock() keeps the lock held to the end, which the
-			// held set already models by not releasing it. Any other
-			// deferred call is approximated at the defer site with the
-			// current held set (a defer under `lock; defer unlock` runs
-			// before the unlock).
-			if _, op, _ := lockOpClass(pass, s.Call); op < 0 {
-				continue
-			}
-			lockOrderExpr(pass, s.Call, held, lockSetOf)
-			continue
-		}
-		lockOrderExpr(pass, stmt, held, lockSetOf)
-	}
-}
-
-// lockOrderExpr processes lock ops and calls inside one statement or
-// expression in source order, mutating held and recording edges.
-func lockOrderExpr(pass *Pass, n ast.Node, held map[string]token.Pos, lockSetOf func(*types.Func) []string) {
+// lockOrderExpr is lockorder's visitor for the shared lock walker: it
+// processes lock ops and calls inside one statement or expression in source
+// order, mutating held (keyed by lock class) and recording an edge for every
+// lock class acquired — directly or via a call's LockSet — while another is
+// held.
+func lockOrderExpr(pass *Pass, w *lockWalker, n ast.Node, held heldLocks, lockSetOf func(*types.Func) []string) {
 	if n == nil {
 		return
 	}
@@ -482,20 +380,20 @@ func lockOrderExpr(pass *Pass, n ast.Node, held map[string]token.Pos, lockSetOf 
 		switch m := m.(type) {
 		case *ast.GoStmt:
 			if lit, ok := ast.Unparen(m.Call.Fun).(*ast.FuncLit); ok {
-				walkLockOrder(pass, lit.Body.List, map[string]token.Pos{}, lockSetOf)
+				w.walk(lit.Body.List, heldLocks{})
 			}
 			return false
 		case *ast.FuncLit:
 			// A literal not launched via go is conservatively assumed to run
 			// synchronously under the current locks (defer, callback).
-			walkLockOrder(pass, m.Body.List, held, lockSetOf)
+			w.walk(m.Body.List, held)
 			return false
 		case *ast.CallExpr:
-			lc, op, _ := lockOpClass(pass, m)
+			lc, op := lockOpClass(pass, m)
 			switch {
 			case op > 0 && lc != nil:
 				recordAcquire(pass, lc.key, m.Pos(), held, true)
-				held[lc.key] = m.Pos()
+				held[lc.key] = true
 			case op < 0 && lc != nil:
 				delete(held, lc.key)
 			case op == 0:
@@ -518,7 +416,7 @@ func lockOrderExpr(pass *Pass, n ast.Node, held map[string]token.Pos, lockSetOf 
 // recordAcquire registers edges held→key and reports same-class
 // re-acquisition. direct distinguishes a literal Lock() call from an
 // acquisition reached through a call's LockSet.
-func recordAcquire(pass *Pass, key string, pos token.Pos, held map[string]token.Pos, direct bool) {
+func recordAcquire(pass *Pass, key string, pos token.Pos, held heldLocks, direct bool) {
 	position := pass.Fset.Position(pos)
 	allowed := lockOrderAllowedAt(pass, position)
 	for from := range held {

@@ -5,36 +5,7 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"strings"
 )
-
-// seedFlowPackages are the simulation packages whose randomness must be a
-// pure function of an injected seed. The list deliberately includes
-// internal/fault (excluded from the wall-clock rule: injectors run beside
-// real servers) — its crash/straggler draws still must replay under a seed.
-// internal/chaos joins for its schedule draws: every fault decision must
-// trace back to Config.Seed or the same-seed replay guarantee is fiction.
-var seedFlowPackages = []string{
-	"paratune/internal/baseline",
-	"paratune/internal/chaos",
-	"paratune/internal/cluster",
-	"paratune/internal/dist",
-	"paratune/internal/fault",
-	"paratune/internal/measuredb",
-	"paratune/internal/noise",
-	"paratune/internal/objective",
-	"paratune/internal/sample",
-}
-
-func isSeedFlowPackage(path string) bool {
-	path = strings.TrimSuffix(path, "_test")
-	for _, p := range seedFlowPackages {
-		if path == p || strings.HasPrefix(path, p+"/") {
-			return true
-		}
-	}
-	return false
-}
 
 // SeedSink is the cross-package fact seedflow exports on a function whose
 // listed parameters flow into an RNG-constructor seed argument (directly or
@@ -61,7 +32,7 @@ func (s *SeedSink) String() string { return fmt.Sprintf("SeedSink%v", s.Params) 
 // is exactly the two-step nondeterminism (seed := time.Now().UnixNano();
 // rng := dist.NewRNG(seed)) the syntax-local determinism rule cannot see.
 var SeedFlow = &Analyzer{
-	Name:      "seedflow",
+	Name:      ruleSeedFlow,
 	Doc:       "RNG seeds in simulation packages must trace to deterministic origins",
 	FactTypes: []Fact{(*SeedSink)(nil)},
 	Run:       runSeedFlow,
@@ -121,25 +92,15 @@ func runSeedFlow(pass *Pass) {
 	pass.seedSinks = make(map[*types.Func]*SeedSink)
 	for changed := true; changed; {
 		changed = false
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				params := seedSinkParams(pass, fd, fn)
-				if len(params) == 0 {
-					continue
-				}
-				prev := pass.seedSinks[fn]
-				if prev == nil || len(prev.Params) != len(params) {
-					pass.seedSinks[fn] = &SeedSink{Params: params}
-					changed = true
-				}
+		for _, d := range pass.ctx.funcs {
+			params := seedSinkParams(pass, d.decl, d.fn)
+			if len(params) == 0 {
+				continue
+			}
+			prev := pass.seedSinks[d.fn]
+			if prev == nil || len(prev.Params) != len(params) {
+				pass.seedSinks[d.fn] = &SeedSink{Params: params}
+				changed = true
 			}
 		}
 	}
@@ -149,7 +110,7 @@ func runSeedFlow(pass *Pass) {
 
 	// Phase 2: in simulation packages, check the provenance of every seed
 	// argument at every sink call.
-	if !isSeedFlowPackage(pass.Pkg.Path()) {
+	if !inScope(pass.Pkg.Path(), ruleSeedFlow) {
 		return
 	}
 	for _, file := range pass.Files {

@@ -324,7 +324,7 @@ func (s *Store) Compact() error {
 		return err
 	}
 	data, es := s.snapshotLocked()
-	err := writeFileAtomic(s.snapPath, data)
+	err := WriteFileAtomic(s.snapPath, data)
 	if err == nil {
 		err = s.wal.Truncate(s.headerLen)
 	}
@@ -350,9 +350,11 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// writeFileAtomic writes data to path via a same-directory temp file and
-// rename, so readers never see a half-written snapshot.
-func writeFileAtomic(path string, data []byte) error {
+// WriteFileAtomic writes data to path via a same-directory temp file
+// (path + ".tmp") and a rename, so readers never see a half-written file.
+// When the rename fails the temp file is removed. Neither the temp file nor
+// the directory is fsynced.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err

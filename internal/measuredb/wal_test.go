@@ -371,3 +371,32 @@ func TestWidePointNotPersisted(t *testing.T) {
 		t.Fatalf("narrow observations after reopen = %v, want [1 3]", obs)
 	}
 }
+
+// TestWriteFileAtomic pins both outcomes of the write-tmp-then-rename helper:
+// a successful write replaces the file and leaves no temp file, and a failed
+// rename — here onto a non-empty directory — returns the error and removes
+// the temp file rather than leaving it to be mistaken for state.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt")
+	if err := WriteFileAtomic(path, []byte("state")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "state" {
+		t.Fatalf("read back %q, %v; want %q", got, err, "state")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind after a successful write: %v", err)
+	}
+
+	occupied := filepath.Join(dir, "occupied")
+	if err := os.MkdirAll(filepath.Join(occupied, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(occupied, []byte("state")); err == nil {
+		t.Fatal("renaming onto a non-empty directory succeeded")
+	}
+	if _, err := os.Stat(occupied + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind after a failed rename: %v", err)
+	}
+}
