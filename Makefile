@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-fix lint-sarif lint-selftest test race bench bench-json bench-smoke trace-smoke db-smoke chaos-smoke load-smoke fed-smoke fuzz results examples clean
+.PHONY: all build lint lint-fix lint-sarif lint-selftest test race bench bench-json bench-smoke trace-smoke db-smoke chaos-smoke load-smoke fed-smoke fuzz results results-check examples clean
 
 # Baseline number for bench-json artefacts (BENCH_$(N).json).
 N ?= 10
@@ -130,6 +130,18 @@ fuzz:
 # (~3 minutes), plus the consolidated markdown report.
 results:
 	$(GO) run ./cmd/expgen -out results -seed 42 -report
+
+# Regenerate everything at full scale into a scratch directory and diff it
+# against the committed results/: every CSV and text file byte-for-byte,
+# REPORT.md apart from its Generated timestamp line.
+results-check:
+	dir="$${TMPDIR:-/tmp}/paratune-results-check"; \
+	rm -rf "$$dir" && \
+	$(GO) run ./cmd/expgen -out "$$dir" -seed 42 -report && \
+	diff -r -x REPORT.md results "$$dir" && \
+	grep -v '^Generated ' results/REPORT.md > "$$dir/REPORT.want" && \
+	grep -v '^Generated ' "$$dir/REPORT.md" | diff -u "$$dir/REPORT.want" - && \
+	rm -rf "$$dir"
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -343,7 +343,7 @@ type Backpressure struct {
 // EventKind implements Event.
 func (Backpressure) EventKind() string { return KindBackpressure }
 
-/// BatchFetch reports one batched fetchN round-trip: a client asked for up to
+// BatchFetch reports one batched fetchN round-trip: a client asked for up to
 // Requested candidates in a single frame and was granted Granted distinct
 // ones (round-robin over the session's outstanding candidates).
 type BatchFetch struct {

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 
 	"paratune/internal/core"
 	"paratune/internal/dist"
@@ -22,27 +21,28 @@ func AblationEstimators(cfg Config) (*Figure, error) {
 	trials := cfg.reps(20000, 2000)
 	const f1, f2 = 1.0, 1.1 // 10% performance gap
 
+	pareto, err := paretoNoise(0.3)
+	if err != nil {
+		return nil, err
+	}
+	infMean, err := noise.NewParetoFixedBeta(0.9, 0.3)
+	if err != nil {
+		return nil, err
+	}
 	models := []struct {
-		name    string
-		perturb func(f float64, rng *rand.Rand) float64
+		name  string
+		model noise.Model
 	}{
-		{"pareto a=1.7 rho=0.3", func(f float64, rng *rand.Rand) float64 {
-			m, _ := noise.NewIIDPareto(1.7, 0.3)
-			return m.Perturb(f, rng)
-		}},
-		{"pareto a=0.9 (inf mean)", func(f float64, rng *rand.Rand) float64 {
-			m, _ := noise.NewParetoFixedBeta(0.9, 0.3)
-			return m.Perturb(f, rng)
-		}},
+		{"pareto a=1.7 rho=0.3", pareto},
+		{"pareto a=0.9 (inf mean)", infMean},
 	}
-	type estMaker struct {
+	ests := []struct {
 		name string
-		mk   func(k int) sample.Estimator
-	}
-	ests := []estMaker{
-		{"min", func(k int) sample.Estimator { e, _ := sample.NewMinOfK(k); return e }},
-		{"mean", func(k int) sample.Estimator { e, _ := sample.NewMeanOfK(k); return e }},
-		{"median", func(k int) sample.Estimator { e, _ := sample.NewMedianOfK(k); return e }},
+		mk   func(k int) (sample.Estimator, error)
+	}{
+		{"min", minOfK},
+		{"mean", func(k int) (sample.Estimator, error) { return sample.NewMeanOfK(k) }},
+		{"median", func(k int) (sample.Estimator, error) { return sample.NewMedianOfK(k) }},
 	}
 	ks := []int{1, 2, 3, 5, 7}
 
@@ -54,14 +54,17 @@ func AblationEstimators(cfg Config) (*Figure, error) {
 		for ei, em := range ests {
 			perK := make([]float64, len(ks))
 			for ki, k := range ks {
-				est := em.mk(k)
+				est, err := em.mk(k)
+				if err != nil {
+					return nil, err
+				}
 				correct := 0
 				obs1 := make([]float64, k)
 				obs2 := make([]float64, k)
 				for t := 0; t < trials; t++ {
 					for j := 0; j < k; j++ {
-						obs1[j] = m.perturb(f1, rng)
-						obs2[j] = m.perturb(f2, rng)
+						obs1[j] = m.model.Perturb(f1, rng)
+						obs2[j] = m.model.Perturb(f2, rng)
 					}
 					if est.Estimate(obs1) < est.Estimate(obs2) {
 						correct++
@@ -126,27 +129,21 @@ func proVariantAblation(cfg Config, id, title string, mod core.Options, modName 
 		mod.R = 0.2
 	}
 
-	rng := dist.NewRNG(cfg.Seed + 5)
-	seeds := make([]int64, reps)
-	for r := range seeds {
-		seeds[r] = rng.Int63()
+	model, err := paretoNoise(0.2)
+	if err != nil {
+		return nil, err
 	}
-
+	est, err := minOfK(2)
+	if err != nil {
+		return nil, err
+	}
+	seeds := repSeeds(cfg.Seed+5, reps)
 	run := func(opts core.Options) (float64, float64, error) {
-		var sumNTT, sumTrue float64
-		for rep := 0; rep < reps; rep++ {
-			alg, err := core.NewPRO(opts)
-			if err != nil {
-				return 0, 0, err
-			}
-			res, err := onlineRun(alg, db, 0.2, 2, budget, simProcs, seeds[rep], cfg.Trace)
-			if err != nil {
-				return 0, 0, err
-			}
-			sumNTT += res.NTT
-			sumTrue += res.TrueValue
+		ntts, truths, err := replicate(seeds, proRun(opts, db, model, est, budget, simProcs, false))
+		if err != nil {
+			return 0, 0, err
 		}
-		return sumNTT / float64(reps), sumTrue / float64(reps), nil
+		return meanOf(ntts), meanOf(truths), nil
 	}
 	baseNTT, baseTrue, err := run(base)
 	if err != nil {

@@ -3,10 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"paratune/internal/cluster"
 	"paratune/internal/core"
-	"paratune/internal/dist"
-	"paratune/internal/noise"
 	"paratune/internal/plot"
 	"paratune/internal/sample"
 )
@@ -26,11 +23,7 @@ func ExtAdaptiveK(cfg Config) (*Figure, error) {
 		rhos = []float64{0.2}
 	}
 
-	rng := dist.NewRNG(cfg.Seed + 6)
-	seeds := make([]int64, reps)
-	for r := range seeds {
-		seeds[r] = rng.Int63()
-	}
+	seeds := repSeeds(cfg.Seed+6, reps)
 
 	type variant struct {
 		name string
@@ -38,10 +31,7 @@ func ExtAdaptiveK(cfg Config) (*Figure, error) {
 	}
 	fixed := func(k int) variant {
 		return variant{fmt.Sprintf("min-of-%d", k), func() (sample.Estimator, *sample.KTuner, error) {
-			if k == 1 {
-				return sample.Single{}, nil, nil
-			}
-			e, err := sample.NewMinOfK(k)
+			e, err := minOfK(k)
 			return e, nil, err
 		}}
 	}
@@ -61,43 +51,37 @@ func ExtAdaptiveK(cfg Config) (*Figure, error) {
 	var lines []string
 	nttByVariant := make(map[string][]float64)
 	for _, rho := range rhos {
+		model, err := paretoNoise(rho)
+		if err != nil {
+			return nil, err
+		}
 		for vi, v := range variants {
-			var sumNTT, sumTrue, sumK float64
-			for rep := 0; rep < reps; rep++ {
-				m, err := noise.NewIIDPareto(1.7, rho)
-				if err != nil {
-					return nil, err
-				}
-				sim, err := cluster.New(simProcs, m, seeds[rep])
-				if err != nil {
-					return nil, err
-				}
+			var finalK []float64
+			ntts, truths, err := replicate(seeds, func(seed int64) (*core.Result, error) {
 				est, tuner, err := v.mk()
 				if err != nil {
 					return nil, err
 				}
-				alg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
+				res, err := proRun(core.Options{Space: db.Space(), R: 0.2}, db, model, est, budget, simProcs, false)(seed)
 				if err != nil {
 					return nil, err
 				}
-				res, err := core.RunOnline(alg, core.OnlineConfig{Sim: sim, F: db, Est: est, Budget: budget})
-				if err != nil {
-					return nil, err
-				}
-				sumNTT += res.NTT
-				sumTrue += res.TrueValue
 				if tuner != nil {
-					sumK += float64(tuner.K())
+					finalK = append(finalK, float64(tuner.K()))
 				} else {
-					sumK += float64(est.K())
+					finalK = append(finalK, float64(est.K()))
 				}
+				return res, nil
+			})
+			if err != nil {
+				return nil, err
 			}
-			n := float64(reps)
-			rows = append(rows, []float64{rho, float64(vi), sumNTT / n, sumTrue / n, sumK / n})
-			nttByVariant[v.name] = append(nttByVariant[v.name], sumNTT/n)
+			ntt, truth, k := meanOf(ntts), meanOf(truths), meanOf(finalK)
+			rows = append(rows, []float64{rho, float64(vi), ntt, truth, k})
+			nttByVariant[v.name] = append(nttByVariant[v.name], ntt)
 			if v.name == "controlled" {
 				lines = append(lines, fmt.Sprintf("rho=%.2f: controller settled at K ≈ %.1f (NTT %.2f, final f %.3f)",
-					rho, sumK/n, sumNTT/n, sumTrue/n))
+					rho, k, ntt, truth))
 			}
 		}
 	}

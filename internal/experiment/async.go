@@ -5,10 +5,7 @@ import (
 
 	"paratune/internal/cluster"
 	"paratune/internal/core"
-	"paratune/internal/dist"
-	"paratune/internal/noise"
 	"paratune/internal/plot"
-	"paratune/internal/sample"
 )
 
 // ExtAsync quantifies footnote 1 of the paper: "Our actual tuning system
@@ -30,74 +27,53 @@ func ExtAsync(cfg Config) (*Figure, error) {
 		rhos = []float64{0, 0.3}
 	}
 
-	rng := dist.NewRNG(cfg.Seed + 7)
-	seeds := make([]int64, reps)
-	for r := range seeds {
-		seeds[r] = rng.Int63()
+	seeds := repSeeds(cfg.Seed+7, reps)
+	est, err := minOfK(k)
+	if err != nil {
+		return nil, err
 	}
-
-	mkModel := func(rho float64) (noise.Model, error) {
-		if rho == 0 {
-			return noise.None{}, nil
+	// search runs the PRO search through ev for at most iters steps.
+	search := func(ev core.Evaluator) error {
+		alg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
+		if err != nil {
+			return err
 		}
-		return noise.NewIIDPareto(1.7, rho)
+		if err := alg.Init(ev); err != nil {
+			return err
+		}
+		for i := 0; i < iters && !alg.Converged(); i++ {
+			if _, err := alg.Step(ev); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
 	var rows [][]float64
 	var barrierMeans, asyncMeans, ratios []float64
 	for _, rho := range rhos {
+		model, err := paretoNoise(rho)
+		if err != nil {
+			return nil, err
+		}
 		var sumBarrier, sumAsync float64
-		for rep := 0; rep < reps; rep++ {
-			est, err := sample.NewMinOfK(k)
+		for _, seed := range seeds {
+			bsim, err := cluster.New(simProcs, model, seed)
 			if err != nil {
 				return nil, err
 			}
-
-			// Barrier run.
-			mb, err := mkModel(rho)
-			if err != nil {
+			if err := search(cluster.NewEvaluator(bsim, db, est)); err != nil {
 				return nil, err
-			}
-			bsim, err := cluster.New(simProcs, mb, seeds[rep])
-			if err != nil {
-				return nil, err
-			}
-			bev := cluster.NewEvaluator(bsim, db, est)
-			balg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
-			if err != nil {
-				return nil, err
-			}
-			if err := balg.Init(bev); err != nil {
-				return nil, err
-			}
-			for i := 0; i < iters && !balg.Converged(); i++ {
-				if _, err := balg.Step(bev); err != nil {
-					return nil, err
-				}
 			}
 			sumBarrier += bsim.TotalTime()
 
 			// Async run, same seed.
-			ma, err := mkModel(rho)
+			asim, err := cluster.NewAsync(simProcs, model, seed)
 			if err != nil {
 				return nil, err
 			}
-			asim, err := cluster.NewAsync(simProcs, ma, seeds[rep])
-			if err != nil {
+			if err := search(&cluster.AsyncEvaluator{Sim: asim, F: db, Est: est}); err != nil {
 				return nil, err
-			}
-			aev := &cluster.AsyncEvaluator{Sim: asim, F: db, Est: est}
-			aalg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
-			if err != nil {
-				return nil, err
-			}
-			if err := aalg.Init(aev); err != nil {
-				return nil, err
-			}
-			for i := 0; i < iters && !aalg.Converged(); i++ {
-				if _, err := aalg.Step(aev); err != nil {
-					return nil, err
-				}
 			}
 			sumAsync += asim.Makespan()
 		}

@@ -16,7 +16,7 @@ import (
 
 	"paratune/internal/cluster"
 	"paratune/internal/core"
-	"paratune/internal/event"
+	"paratune/internal/dist"
 	"paratune/internal/noise"
 	"paratune/internal/objective"
 	"paratune/internal/sample"
@@ -31,10 +31,6 @@ type Config struct {
 	Replications int
 	// Quick shrinks replication counts and sweeps for tests and smoke runs.
 	Quick bool
-	// Trace, when set, receives the event stream of every tuning run a
-	// figure performs (all replications share the one recorder; the
-	// run_start/run_end envelopes delimit them).
-	Trace event.Recorder
 }
 
 func (c Config) reps(def, quick int) int {
@@ -113,30 +109,70 @@ func gs2DB(seed int64) *objective.DB {
 	return objective.GenerateGS2(objective.GS2Config{Seed: seed, Coverage: 0.85})
 }
 
-// onlineRun performs one tuning run and returns its result; rec (nil for
-// none) receives the run's event stream.
-func onlineRun(alg core.Algorithm, f objective.Function, rho float64, k, budget, procs int, seed int64, rec event.Recorder) (*core.Result, error) {
-	var model noise.Model = noise.None{}
-	if rho > 0 {
-		m, err := noise.NewIIDPareto(1.7, rho)
-		if err != nil {
-			return nil, err
-		}
-		model = m
+// repSeeds draws the replication seeds a figure shares across all of its
+// configurations (common random numbers reduce comparison variance).
+func repSeeds(seed int64, reps int) []int64 {
+	rng := dist.NewRNG(seed)
+	seeds := make([]int64, reps)
+	for r := range seeds {
+		seeds[r] = rng.Int63()
 	}
+	return seeds
+}
+
+// paretoNoise is the §6 variability model: i.i.d. Pareto(α = 1.7) noise at
+// idle throughput rho, and no noise at rho <= 0.
+func paretoNoise(rho float64) (noise.Model, error) {
+	if rho <= 0 {
+		return noise.None{}, nil
+	}
+	return noise.NewIIDPareto(1.7, rho)
+}
+
+// minOfK is the §5 estimator: the minimum of k samples, a single sample for
+// k <= 1.
+func minOfK(k int) (sample.Estimator, error) {
+	if k <= 1 {
+		return sample.Single{}, nil
+	}
+	return sample.NewMinOfK(k)
+}
+
+// onlineRun performs one tuning run of alg over f on a procs-wide simulated
+// cluster under model, estimating each candidate with est.
+func onlineRun(alg core.Algorithm, f objective.Function, model noise.Model, est sample.Estimator, budget, procs int, seed int64, parallel bool) (*core.Result, error) {
 	sim, err := cluster.New(procs, model, seed)
 	if err != nil {
 		return nil, err
 	}
-	var est sample.Estimator = sample.Single{}
-	if k > 1 {
-		e, err := sample.NewMinOfK(k)
+	return core.RunOnline(alg, core.OnlineConfig{Sim: sim, F: f, Est: est, Budget: budget, ParallelSampling: parallel})
+}
+
+// proRun is replicate's run for PRO built from opts; the other arguments are
+// onlineRun's.
+func proRun(opts core.Options, f objective.Function, model noise.Model, est sample.Estimator, budget, procs int, parallel bool) func(seed int64) (*core.Result, error) {
+	return func(seed int64) (*core.Result, error) {
+		alg, err := core.NewPRO(opts)
 		if err != nil {
 			return nil, err
 		}
-		est = e
+		return onlineRun(alg, f, model, est, budget, procs, seed, parallel)
 	}
-	return core.RunOnline(alg, core.OnlineConfig{Sim: sim, F: f, Est: est, Budget: budget, Recorder: rec})
+}
+
+// replicate performs run once per seed and returns each run's NTT and final
+// true value, in seed order.
+func replicate(seeds []int64, run func(seed int64) (*core.Result, error)) (ntt, truth []float64, err error) {
+	ntt = make([]float64, len(seeds))
+	truth = make([]float64, len(seeds))
+	for i, seed := range seeds {
+		res, err := run(seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		ntt[i], truth[i] = res.NTT, res.TrueValue
+	}
+	return ntt, truth, nil
 }
 
 // meanOf averages a slice.

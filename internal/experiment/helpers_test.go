@@ -80,7 +80,15 @@ func TestOnlineRunHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := onlineRun(alg, db, 0.1, 2, 30, 8, 7, nil)
+	model, err := paretoNoise(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := minOfK(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := onlineRun(alg, db, model, est, 30, 8, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +96,16 @@ func TestOnlineRunHelper(t *testing.T) {
 		t.Errorf("steps = %d", res.Steps)
 	}
 	// Invalid rho propagates.
-	alg2, _ := core.NewPRO(core.Options{Space: db.Space()})
-	if _, err := onlineRun(alg2, db, 1.5, 1, 10, 8, 7, nil); err == nil {
+	if _, err := paretoNoise(1.5); err == nil {
 		t.Error("invalid rho should fail")
 	}
 	// Invalid K propagates.
 	alg3, _ := core.NewPRO(core.Options{Space: db.Space()})
-	if _, err := onlineRun(alg3, db, 0.1, -2, 10, 8, 7, nil); err != nil {
+	single, err := minOfK(-2)
+	if err == nil {
+		_, err = onlineRun(alg3, db, model, single, 10, 8, 7, false)
+	}
+	if err != nil || single.K() != 1 {
 		t.Errorf("k<=1 means single sample, not an error: %v", err)
 	}
 }

@@ -3,12 +3,8 @@ package experiment
 import (
 	"fmt"
 
-	"paratune/internal/cluster"
 	"paratune/internal/core"
-	"paratune/internal/dist"
-	"paratune/internal/noise"
 	"paratune/internal/plot"
-	"paratune/internal/sample"
 )
 
 // ExtParallelSampling validates the closing observation of §5.2: "If there
@@ -29,46 +25,22 @@ func ExtParallelSampling(cfg Config) (*Figure, error) {
 		ks = []int{1, 5, 10}
 	}
 
-	rng := dist.NewRNG(cfg.Seed + 8)
-	seeds := make([]int64, reps)
-	for r := range seeds {
-		seeds[r] = rng.Int63()
+	model, err := paretoNoise(rho)
+	if err != nil {
+		return nil, err
 	}
-
+	seeds := repSeeds(cfg.Seed+8, reps)
 	run := func(k int, parallel bool) (float64, float64, error) {
-		var sumNTT, sumTrue float64
-		for rep := 0; rep < reps; rep++ {
-			m, err := noise.NewIIDPareto(1.7, rho)
-			if err != nil {
-				return 0, 0, err
-			}
-			sim, err := cluster.New(procs, m, seeds[rep])
-			if err != nil {
-				return 0, 0, err
-			}
-			var est sample.Estimator = sample.Single{}
-			if k > 1 {
-				e, err := sample.NewMinOfK(k)
-				if err != nil {
-					return 0, 0, err
-				}
-				est = e
-			}
-			alg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
-			if err != nil {
-				return 0, 0, err
-			}
-			res, err := core.RunOnline(alg, core.OnlineConfig{
-				Sim: sim, F: db, Est: est, Budget: budget, ParallelSampling: parallel,
-			})
-			if err != nil {
-				return 0, 0, err
-			}
-			sumNTT += res.NTT
-			sumTrue += res.TrueValue
+		est, err := minOfK(k)
+		if err != nil {
+			return 0, 0, err
 		}
-		n := float64(reps)
-		return sumNTT / n, sumTrue / n, nil
+		opts := core.Options{Space: db.Space(), R: 0.2}
+		ntts, truths, err := replicate(seeds, proRun(opts, db, model, est, budget, procs, parallel))
+		if err != nil {
+			return 0, 0, err
+		}
+		return meanOf(ntts), meanOf(truths), nil
 	}
 
 	var rows [][]float64

@@ -3,12 +3,9 @@ package experiment
 import (
 	"fmt"
 
-	"paratune/internal/cluster"
 	"paratune/internal/core"
-	"paratune/internal/dist"
 	"paratune/internal/noise"
 	"paratune/internal/plot"
-	"paratune/internal/sample"
 )
 
 // ExtSharedNoise makes the Fig. 10 robustness finding reproducible: when the
@@ -31,56 +28,28 @@ func ExtSharedNoise(cfg Config) (*Figure, error) {
 		ks = []int{1, 5}
 	}
 
-	rng := dist.NewRNG(cfg.Seed + 9)
-	seeds := make([]int64, reps)
-	for r := range seeds {
-		seeds[r] = rng.Int63()
-	}
-
+	seeds := repSeeds(cfg.Seed+9, reps)
 	run := func(rho float64, k int, shared bool) (float64, float64, error) {
-		var sumNTT, sumTrue float64
-		for rep := 0; rep < reps; rep++ {
-			var model noise.Model = noise.None{}
-			if rho > 0 {
-				if shared {
-					m, err := noise.NewSharedIIDPareto(1.7, rho)
-					if err != nil {
-						return 0, 0, err
-					}
-					model = m
-				} else {
-					m, err := noise.NewIIDPareto(1.7, rho)
-					if err != nil {
-						return 0, 0, err
-					}
-					model = m
-				}
-			}
-			sim, err := cluster.New(simProcs, model, seeds[rep])
-			if err != nil {
-				return 0, 0, err
-			}
-			var est sample.Estimator = sample.Single{}
-			if k > 1 {
-				e, err := sample.NewMinOfK(k)
-				if err != nil {
-					return 0, 0, err
-				}
-				est = e
-			}
-			alg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
-			if err != nil {
-				return 0, 0, err
-			}
-			res, err := core.RunOnline(alg, core.OnlineConfig{Sim: sim, F: db, Est: est, Budget: budget})
-			if err != nil {
-				return 0, 0, err
-			}
-			sumNTT += res.NTT
-			sumTrue += res.TrueValue
+		est, err := minOfK(k)
+		if err != nil {
+			return 0, 0, err
 		}
-		n := float64(reps)
-		return sumNTT / n, sumTrue / n, nil
+		ntts, truths, err := replicate(seeds, func(seed int64) (*core.Result, error) {
+			// The shared model carries its per-step multiplier, so every
+			// replication builds its own.
+			model, err := paretoNoise(rho)
+			if err == nil && shared && rho > 0 {
+				model, err = noise.NewSharedIIDPareto(1.7, rho)
+			}
+			if err != nil {
+				return nil, err
+			}
+			return proRun(core.Options{Space: db.Space(), R: 0.2}, db, model, est, budget, simProcs, false)(seed)
+		})
+		if err != nil {
+			return 0, 0, err
+		}
+		return meanOf(ntts), meanOf(truths), nil
 	}
 
 	var rows [][]float64

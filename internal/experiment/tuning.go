@@ -5,8 +5,8 @@ import (
 
 	"paratune/internal/baseline"
 	"paratune/internal/core"
-	"paratune/internal/dist"
 	"paratune/internal/plot"
+	"paratune/internal/sample"
 	"paratune/internal/space"
 	"paratune/internal/stats"
 )
@@ -38,18 +38,22 @@ func Fig1MetricDiscrepancy(cfg Config) (*Figure, error) {
 		}},
 	}
 
+	model, err := paretoNoise(0.1)
+	if err != nil {
+		return nil, err
+	}
+	// One seed stream, drawn variant after variant.
+	seeds := repSeeds(cfg.Seed+1, len(variants)*reps)
 	meanTk := make([][]float64, len(variants))
 	meanTotal := make([][]float64, len(variants))
-	rng := dist.NewRNG(cfg.Seed + 1)
 	for vi, v := range variants {
 		sumTk := make([]float64, budget)
-		for r := 0; r < reps; r++ {
-			seed := rng.Int63()
+		for _, seed := range seeds[vi*reps : (vi+1)*reps] {
 			alg, err := v.mk(seed)
 			if err != nil {
 				return nil, err
 			}
-			res, err := onlineRun(alg, db, 0.1, 1, budget, simProcs, seed, cfg.Trace)
+			res, err := onlineRun(alg, db, model, sample.Single{}, budget, simProcs, seed, false)
 			if err != nil {
 				return nil, err
 			}
@@ -218,31 +222,22 @@ func Fig9InitialSimplex(cfg Config) (*Figure, error) {
 	}
 	shapes := []core.Shape{core.Shape2N, core.ShapeMinimal}
 
-	rng := dist.NewRNG(cfg.Seed + 2)
-	// Noise seeds shared across configurations (common random numbers
-	// reduce comparison variance); the start centre is the region centre,
-	// as §3.2.3 prescribes, and ρ=0.1 variability provides the replication
-	// randomness.
-	seeds := make([]int64, reps)
-	for r := 0; r < reps; r++ {
-		seeds[r] = rng.Int63()
+	// The start centre is the region centre, as §3.2.3 prescribes, and
+	// ρ=0.1 variability provides the replication randomness.
+	model, err := paretoNoise(0.1)
+	if err != nil {
+		return nil, err
 	}
+	seeds := repSeeds(cfg.Seed+2, reps)
 
 	means := make(map[core.Shape][]float64)
 	for _, shape := range shapes {
 		vals := make([]float64, len(rValues))
 		for ri, r := range rValues {
-			ntts := make([]float64, reps)
-			for rep := 0; rep < reps; rep++ {
-				alg, err := core.NewPRO(core.Options{Space: db.Space(), R: r, SimplexShape: shape})
-				if err != nil {
-					return nil, err
-				}
-				res, err := onlineRun(alg, db, 0.1, 1, budget, simProcs, seeds[rep], cfg.Trace)
-				if err != nil {
-					return nil, err
-				}
-				ntts[rep] = res.NTT
+			opts := core.Options{Space: db.Space(), R: r, SimplexShape: shape}
+			ntts, _, err := replicate(seeds, proRun(opts, db, model, sample.Single{}, budget, simProcs, false))
+			if err != nil {
+				return nil, err
 			}
 			vals[ri] = meanOf(ntts)
 		}
@@ -299,29 +294,26 @@ func Fig10MultiSampling(cfg Config) (*Figure, error) {
 		ks = []int{1, 3, 5}
 	}
 
-	rng := dist.NewRNG(cfg.Seed + 3)
-	seeds := make([]int64, reps)
-	for r := range seeds {
-		seeds[r] = rng.Int63()
-	}
+	seeds := repSeeds(cfg.Seed+3, reps)
 
 	curves := make(map[float64][]float64)  // rho -> mean NTT per K
 	stderrs := make(map[float64][]float64) // rho -> standard error per K
 	for _, rho := range rhos {
+		model, err := paretoNoise(rho)
+		if err != nil {
+			return nil, err
+		}
 		vals := make([]float64, len(ks))
 		ses := make([]float64, len(ks))
 		for ki, k := range ks {
-			ntts := make([]float64, reps)
-			for rep := 0; rep < reps; rep++ {
-				alg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
-				if err != nil {
-					return nil, err
-				}
-				res, err := onlineRun(alg, db, rho, k, budget, simProcs, seeds[rep], cfg.Trace)
-				if err != nil {
-					return nil, err
-				}
-				ntts[rep] = res.NTT
+			est, err := minOfK(k)
+			if err != nil {
+				return nil, err
+			}
+			opts := core.Options{Space: db.Space(), R: 0.2}
+			ntts, _, err := replicate(seeds, proRun(opts, db, model, est, budget, simProcs, false))
+			if err != nil {
+				return nil, err
 			}
 			vals[ki] = meanOf(ntts)
 			ses[ki] = stats.StdErr(ntts)
