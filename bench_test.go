@@ -261,8 +261,9 @@ func (e freeEvaluator) Eval(points []space.Point) ([]float64, error) {
 }
 
 // BenchmarkStoreLookup measures the measurement database's hot-path
-// exact-match lookup (AppendObs): a stack-keyed shard probe that must stay
-// allocation-free, since it sits on every candidate evaluation of a
+// warm-start lookup (Store.Estimate, min-of-3 over the first 3 stored
+// observations): a stack-keyed shard probe plus the estimate, which must
+// stay allocation-free, since it sits on every candidate evaluation of a
 // DB-attached run.
 func BenchmarkStoreLookup(b *testing.B) {
 	s := measuredb.NewMemory(measuredb.Options{})
@@ -273,11 +274,12 @@ func BenchmarkStoreLookup(b *testing.B) {
 		}
 	})
 	p := sp.Center()
+	var est sample.Estimator = sample.MinOfK{Samples: 3}
 	dst := make([]float64, 0, 3)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		dst, _ = s.AppendObs(dst[:0], p, 3)
+		dst, _, _, _ = s.Estimate(dst[:0], p, est, 3)
 	}
 	_ = dst
 }

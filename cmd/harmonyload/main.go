@@ -41,12 +41,13 @@ import (
 
 // workerStats accumulates one worker's share of the run.
 type workerStats struct {
-	reports  int // measurements accepted (or acknowledged as duplicates)
-	refused  int // measurements shed by backpressure
-	rejected int // invalid values / stale tags
-	rts      int // round trips completed
-	lats     []time.Duration
-	err      error
+	reports   int // measurements accepted (or acknowledged as duplicates)
+	refused   int // measurements shed by backpressure
+	rejected  int // invalid values / stale tags
+	bestKnown int // tag-0 fetch answers: no candidate pending, nothing to measure
+	rts       int // round trips completed
+	lats      []time.Duration
+	err       error
 }
 
 func main() {
@@ -170,6 +171,7 @@ func main() {
 		total.reports += s.reports
 		total.refused += s.refused
 		total.rejected += s.rejected
+		total.bestKnown += s.bestKnown
 		total.rts += s.rts
 		total.lats = append(total.lats, s.lats...)
 	}
@@ -182,6 +184,9 @@ func main() {
 	fmt.Printf("throughput:   %d measurements in %s (%.0f reports/s, %.0f round-trips/s)\n",
 		total.reports, loadElapsed.Round(time.Millisecond),
 		float64(total.reports)/loadElapsed.Seconds(), float64(total.rts)/loadElapsed.Seconds())
+	if total.bestKnown > 0 {
+		fmt.Printf("best-known:   %d tag-0 answers (no candidate pending; not reported)\n", total.bestKnown)
+	}
 	if total.refused > 0 || total.rejected > 0 {
 		fmt.Printf("shed:         %d refused (backpressure), %d rejected\n", total.refused, total.rejected)
 	}
@@ -194,7 +199,9 @@ func main() {
 
 // drive is one worker's load loop: round-robin over its session share,
 // fetch/report (or fetchn/reportn) until the deadline, timing every round
-// trip.
+// trip. Only tagged candidates are measured and reported; a tag-0 answer
+// (the best-known configuration, served while no candidate is pending) is
+// counted on its own and never sent back as a measurement.
 func drive(cl *harmony.Client, names []string, w, stride, batch int, deadline time.Time,
 	db *objective.DB, model noise.Model, seed int64) workerStats {
 	var st workerStats
@@ -211,6 +218,10 @@ func drive(cl *harmony.Client, names []string, w, stride, batch int, deadline ti
 				return st
 			}
 			st.rts++
+			if fr.Tag == 0 {
+				st.bestKnown++
+				continue
+			}
 			y := model.Perturb(db.Eval(fr.Point), rng)
 			t0 = time.Now()
 			err = cl.Report(name, fr.Tag, y)
@@ -236,10 +247,17 @@ func drive(cl *harmony.Client, names []string, w, stride, batch int, deadline ti
 		st.rts++
 		items = items[:0]
 		for _, fr := range frs {
+			if fr.Tag == 0 {
+				st.bestKnown++
+				continue
+			}
 			items = append(items, harmony.ReportItem{
 				Tag:   fr.Tag,
 				Value: model.Perturb(db.Eval(fr.Point), rng),
 			})
+		}
+		if len(items) == 0 {
+			continue
 		}
 		t0 = time.Now()
 		res, err := cl.ReportN(name, items)

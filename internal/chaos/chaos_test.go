@@ -5,6 +5,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -64,6 +66,62 @@ func TestConfigRejectsBadProbabilities(t *testing.T) {
 	if _, err := New(bad, func() (net.Conn, error) { return nil, nil }, nil); err == nil {
 		t.Fatal("probabilities summing past 1 should be rejected")
 	}
+}
+
+// pipeEnd returns the net.Pipe end beneath c, which may be wrapped in a
+// struct that embeds net.Conn.
+func pipeEnd(c net.Conn) net.Conn {
+	v := reflect.ValueOf(c)
+	if v.Kind() == reflect.Pointer && v.Elem().Kind() == reflect.Struct {
+		if f := v.Elem().FieldByName("Conn"); f.IsValid() && f.CanInterface() {
+			if inner, ok := f.Interface().(net.Conn); ok {
+				return inner
+			}
+		}
+	}
+	return c
+}
+
+// A closed MemListener connection must not outlive its Close: harmony arms
+// a five-minute read deadline per request, and an armed net.Pipe deadline
+// timer pins the pipe on the heap until it fires.
+func TestMemListenerClosedConnIsCollectable(t *testing.T) {
+	l := NewMemListener()
+	defer l.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			t.Errorf("accept: %v", err)
+		}
+		accepted <- c
+	}()
+	client, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := <-accepted
+	if server == nil {
+		t.FailNow()
+	}
+	// Far in the future, like harmony's per-request read deadline.
+	if err := server.SetReadDeadline(time.Date(2200, 1, 1, 0, 0, 0, 0, time.UTC)); err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(pipeEnd(server), func(any) { close(collected) })
+	_ = server.Close()
+	_ = client.Close()
+	server, client = nil, nil
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	t.Fatal("closed server end was never collected: its armed read deadline keeps it alive")
 }
 
 func TestMemListener(t *testing.T) {

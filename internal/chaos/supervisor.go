@@ -53,15 +53,75 @@ func (l *MemListener) Addr() net.Addr { return memAddr{} }
 // Dial connects a new client conn through the listener, or fails once the
 // listener is closed.
 func (l *MemListener) Dial() (net.Conn, error) {
-	client, server := net.Pipe()
+	p := &memPipe{}
+	p.ends[0], p.ends[1] = net.Pipe()
 	select {
-	case l.ch <- server:
-		return client, nil
+	case l.ch <- &memConn{Conn: p.ends[1], p: p}:
+		return &memConn{Conn: p.ends[0], p: p}, nil
 	case <-l.done:
-		_ = client.Close()
-		_ = server.Close()
+		_ = p.ends[0].Close() // never fails
+		_ = p.ends[1].Close()
 		return nil, net.ErrClosed
 	}
+}
+
+// memPipe is one MemListener connection. net.Pipe keeps a pending deadline
+// timer, and through it the pipe, alive until the deadline passes, even
+// after both ends are closed, and an end can no longer clear its deadline
+// once the other end is closed. harmony arms a five-minute read deadline
+// per request, so every closed connection would stay on the heap for five
+// minutes, which a closed TCP connection does not. The first Close of
+// either end therefore clears the deadlines of both, and deadlines set
+// after that are dropped.
+type memPipe struct {
+	mu       sync.Mutex
+	released bool
+	ends     [2]net.Conn
+}
+
+// setDeadline runs set unless the pipe is being closed.
+func (p *memPipe) setDeadline(set func() error) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.released {
+		return nil
+	}
+	return set()
+}
+
+func (p *memPipe) release() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.released {
+		return
+	}
+	p.released = true
+	for _, c := range p.ends {
+		_ = c.SetDeadline(time.Time{}) // both ends are still open here
+	}
+}
+
+// memConn is one end of a memPipe.
+type memConn struct {
+	net.Conn
+	p *memPipe
+}
+
+func (c *memConn) SetDeadline(t time.Time) error {
+	return c.p.setDeadline(func() error { return c.Conn.SetDeadline(t) })
+}
+
+func (c *memConn) SetReadDeadline(t time.Time) error {
+	return c.p.setDeadline(func() error { return c.Conn.SetReadDeadline(t) })
+}
+
+func (c *memConn) SetWriteDeadline(t time.Time) error {
+	return c.p.setDeadline(func() error { return c.Conn.SetWriteDeadline(t) })
+}
+
+func (c *memConn) Close() error {
+	c.p.release()
+	return c.Conn.Close()
 }
 
 // SupervisorConfig wires a Supervisor to the server lifecycle it manages.

@@ -9,11 +9,10 @@ import (
 )
 
 // Cache is a read-through estimate cache over a measuredb store. Lookups
-// hit the cache first; misses fall through to the store, estimate from
-// whatever observations exist, and memoise the result. Store writes —
-// local observes and federated applies alike — invalidate the touched key
-// via the store's apply hook, so estimates never go stale after a sync
-// round lands new observations.
+// hit the cache first; misses fall through to the store's first-K lookup
+// and memoise the result. Store writes — local observes and federated
+// applies alike — invalidate the touched key via the store's apply hook, so
+// estimates never go stale after a sync round lands new observations.
 type Cache struct {
 	store *measuredb.Store
 	est   sample.Estimator
@@ -42,14 +41,12 @@ type CacheStats struct {
 	Entries                     int
 }
 
-// NewCache builds a read-through cache over store, estimating with est once
-// a config has at least k observations. max bounds the entry count (0 means
-// 4096); the map is flushed wholesale when full — correctness never depends
-// on retention. The cache registers itself as the store's apply hook.
+// NewCache builds a read-through cache over store, filling through
+// [measuredb.Store.Estimate]: est over a config's first k observations once
+// it has at least k (k below 1 is read as 1). max bounds the entry count
+// (0 means 4096); the map is flushed wholesale when full — correctness never
+// depends on retention. The cache registers itself as the store's apply hook.
 func NewCache(store *measuredb.Store, est sample.Estimator, k, max int) *Cache {
-	if k < 1 {
-		k = 1
-	}
 	if max <= 0 {
 		max = 4096
 	}
@@ -86,11 +83,10 @@ func (c *Cache) Lookup(p space.Point) (v float64, federated bool, count int, ok 
 	ver := c.ver
 	c.mu.Unlock()
 
-	obs, _, fed := c.store.AppendObsSource(nil, p, c.k)
-	if len(obs) < c.k {
+	obs, v, fed, ok := c.store.Estimate(nil, p, c.est, c.k)
+	if !ok {
 		return 0, fed, len(obs), false
 	}
-	v = c.est.Estimate(obs)
 	c.mu.Lock()
 	if c.ver == ver {
 		if len(c.m) >= c.max {

@@ -90,9 +90,9 @@ type ServerOptions struct {
 	// DB, when non-nil, is the measurement database: every accepted candidate
 	// report is recorded into it, and batch candidates whose estimate is
 	// already resolved (>= Estimator.K() stored observations) are answered
-	// from it without ever being issued to a client — the cross-restart warm
-	// start. The store binds to one parameter-space signature, so every
-	// session sharing the server must share the space.
+	// from it by a measuredb.Memo without ever being issued to a client —
+	// the cross-restart warm start. The store binds to one parameter-space
+	// signature, so every session sharing the server must share the space.
 	DB *measuredb.Store
 	// Cache, when non-nil, answers warm-start lookups instead of the raw DB
 	// path: the read-through estimate cache (feddb.Cache) memoises per-config
@@ -336,7 +336,15 @@ func (srv *Server) expire(s *session) {
 // set, so the observable behaviour is identical.
 func (s *session) run() {
 	defer close(s.finished)
-	ev := &sessionEvaluator{s: s}
+	var ev core.Evaluator = &sessionEvaluator{s: s}
+	if s.db != nil {
+		// The warm start: candidates the store has already measured to K
+		// observations are answered from it (db_hit) and never reach a
+		// client; with a fully warm store a batch costs no round trips.
+		memo := measuredb.NewMemo(ev, s.db, s.est, s.rec, nil)
+		memo.Session, memo.Cache = s.name, s.opts.Cache
+		ev = memo
+	}
 	eng := &core.Engine{
 		Alg:      s.alg,
 		Ev:       ev,
@@ -382,86 +390,21 @@ func (s *session) takeSnapshot() snapResult {
 }
 
 // EstimateCache is the read-through estimate cache consulted by the
-// warm-start path (implemented by feddb.Cache). Lookup returns the cached
-// or freshly computed estimate for p, whether any contributing observation
-// arrived via federation, and how many observations backed it; ok is false
-// while the store holds too few observations to estimate.
-type EstimateCache interface {
-	Lookup(p space.Point) (v float64, federated bool, count int, ok bool)
-}
-
-// hitSource renders observation provenance for the db_hit event: federated
-// estimates are tagged, purely local ones keep the empty (omitted) source
-// so single-node traces are byte-identical to previous versions.
-func hitSource(federated bool) string {
-	if federated {
-		return "federated"
-	}
-	return ""
-}
+// warm-start path (implemented by feddb.Cache); see measuredb.EstimateCache.
+type EstimateCache = measuredb.EstimateCache
 
 // sessionEvaluator hands the optimiser's batches to the fetch/report
 // machinery and blocks until every candidate has enough measurements, the
-// batch deadline degrades it, or the session stops.
+// batch deadline degrades it, or the session stops. With a measurement
+// database attached, run wraps it in a measuredb.Memo, so only candidates
+// the store cannot answer reach it.
 type sessionEvaluator struct {
 	s *session
 }
 
-// Eval first consults the measurement database: candidates the store has
-// already measured to K observations are answered immediately (db_hit) and
-// never reach a client; only the misses become fetchable candidates. With a
-// fully warm store a batch costs zero client round-trips.
-func (e *sessionEvaluator) Eval(points []space.Point) ([]float64, error) {
-	s := e.s
-	if s.db == nil {
-		return e.evalRemote(points)
-	}
-	k := s.est.K()
-	out := make([]float64, len(points))
-	var missIdx []int
-	var buf []float64
-	for i, p := range points {
-		var v float64
-		var federated, hit bool
-		count := 0
-		if c := s.opts.Cache; c != nil {
-			v, federated, count, hit = c.Lookup(p)
-		} else {
-			var have bool
-			buf, have, federated = s.db.AppendObsSource(buf[:0], p, k)
-			count = len(buf)
-			if have && count >= k {
-				v, hit = s.est.Estimate(buf), true
-			}
-		}
-		if hit {
-			out[i] = v
-			s.rec.Record(event.DBHit{Session: s.name, Config: p.Key(), Value: v, Count: k, Source: hitSource(federated)})
-			continue
-		}
-		s.rec.Record(event.DBMiss{Session: s.name, Config: p.Key(), Count: count})
-		missIdx = append(missIdx, i)
-	}
-	if len(missIdx) == 0 {
-		return out, nil
-	}
-	miss := make([]space.Point, len(missIdx))
-	for j, i := range missIdx {
-		miss[j] = points[i]
-	}
-	vals, err := e.evalRemote(miss)
-	if err != nil {
-		return nil, err
-	}
-	for j, v := range vals {
-		out[missIdx[j]] = v
-	}
-	return out, nil
-}
-
-// evalRemote issues points as fetchable candidates and blocks until clients
+// Eval issues points as fetchable candidates and blocks until clients
 // measure them (or the batch deadline degrades it).
-func (e *sessionEvaluator) evalRemote(points []space.Point) ([]float64, error) {
+func (e *sessionEvaluator) Eval(points []space.Point) ([]float64, error) {
 	s := e.s
 	ch := make(chan []float64, 1)
 	s.mu.Lock()
@@ -919,7 +862,7 @@ func (srv *Server) Checkpoint(name string) ([]byte, error) {
 	case s.snapCh <- req:
 		// The optimiser accepted the handshake and writes exactly one reply
 		// into the buffered channel before doing anything else (see
-		// evalRemote), so this receive completes without further rendezvous.
+		// sessionEvaluator.Eval), so this receive completes without further rendezvous.
 		res = <-req //paralint:allow ctxflow reply guaranteed: the snapCh handshake was accepted and the responder's first act is the buffered send
 	case <-s.finished:
 		// The run goroutine has exited (converged, stopped, or errored); the

@@ -166,7 +166,8 @@ type BatchReportResult struct {
 	// Accepted counts measurements stored (idempotent duplicates included:
 	// the retry succeeded even though nothing new was recorded).
 	Accepted int
-	// Rejected counts invalid values and unknown or completed tags.
+	// Rejected counts invalid values, unknown or completed tags, and items
+	// past the maxBatchOps per-frame cap.
 	Rejected int
 	// Refused counts measurements shed by backpressure.
 	Refused int
@@ -223,15 +224,18 @@ func (srv *Server) FetchN(name string, n int) ([]FetchResult, error) {
 // the frame — invalid values and unknown/completed tags count as Rejected,
 // backpressure refusals as Refused — so one bad measurement cannot void the
 // rest of the frame. The session is resolved once for the whole batch.
+// Items past maxBatchOps are not applied and count as Rejected, so the
+// result still classifies every item.
 func (srv *Server) ReportN(name string, items []ReportItem) (BatchReportResult, error) {
 	s, err := srv.session(name)
 	if err != nil {
 		return BatchReportResult{}, err
 	}
+	var res BatchReportResult
 	if len(items) > maxBatchOps {
+		res.Rejected = len(items) - maxBatchOps
 		items = items[:maxBatchOps]
 	}
-	var res BatchReportResult
 	for i := range items {
 		switch err := s.reportOne(items[i].Tag, items[i].Value, items[i].RID); {
 		case err == nil:

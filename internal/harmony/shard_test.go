@@ -167,6 +167,29 @@ func TestReportNClassification(t *testing.T) {
 	}
 }
 
+// TestReportNClassifiesItemsPastCap: a frame longer than maxBatchOps applies
+// the first maxBatchOps items and counts the tail as Rejected, so the result
+// still classifies every item. Tag-0 items are accepted and ignored, which
+// makes the split exact.
+func TestReportNClassifiesItemsPastCap(t *testing.T) {
+	srv := NewServer(ServerOptions{})
+	defer srv.Close()
+	if err := srv.Register("s", gs2Params()); err != nil {
+		t.Fatal(err)
+	}
+	items := make([]ReportItem, maxBatchOps+1)
+	for i := range items {
+		items[i] = ReportItem{Tag: 0, Value: 1}
+	}
+	res, err := srv.ReportN("s", items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Accepted+res.Rejected+res.Refused != len(items) || res.Accepted != maxBatchOps || res.Rejected != 1 {
+		t.Fatalf("ReportN(%d items) = %+v, want %d accepted / 1 rejected", len(items), res, maxBatchOps)
+	}
+}
+
 // TestBackpressureRefusal pins the shedding contract: surplus observations
 // beyond MaxPendingReports are refused with a structured, retryable error,
 // while measurements the batch still needs are never refused.

@@ -1,10 +1,13 @@
 package harmony
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
+	"paratune/internal/core"
 	"paratune/internal/event"
+	"paratune/internal/feddb"
 	"paratune/internal/measuredb"
 	"paratune/internal/objective"
 	"paratune/internal/space"
@@ -100,8 +103,9 @@ func TestWarmStartAcrossServers(t *testing.T) {
 }
 
 // A store bound to one space rejects a session over a different one: the
-// database is per-application, and silently mixing spaces would corrupt the
-// k-NN replay geometry.
+// database is per-application, and a configuration key only means the same
+// configuration within one space, so silently mixing spaces would serve one
+// application's measurements as another's.
 func TestServerRejectsMismatchedDBSpace(t *testing.T) {
 	db := measuredb.NewMemory(measuredb.Options{})
 	srv := NewServer(ServerOptions{DB: db})
@@ -111,5 +115,109 @@ func TestServerRejectsMismatchedDBSpace(t *testing.T) {
 	}
 	if err := srv.Register("b", []space.Parameter{space.IntParam("x", 0, 9)}); err == nil {
 		t.Fatal("second session over a different space should be rejected")
+	}
+}
+
+// fixedBatch evaluates one fixed batch in Init and is converged from then
+// on, so a session's warm-start lookups are exactly that batch's points.
+type fixedBatch struct {
+	pts  []space.Point
+	best space.Point
+	val  float64
+}
+
+func (a *fixedBatch) Init(ev core.Evaluator) error {
+	vals, err := ev.Eval(a.pts)
+	if err != nil {
+		return err
+	}
+	for i, v := range vals {
+		if a.best == nil || v < a.val {
+			a.best, a.val = a.pts[i], v
+		}
+	}
+	return nil
+}
+
+func (a *fixedBatch) Step(core.Evaluator) (core.StepInfo, error) {
+	return core.StepInfo{Kind: core.StepConverged, Best: a.best, BestValue: a.val}, nil
+}
+
+func (a *fixedBatch) Best() (space.Point, float64) { return a.best, a.val }
+func (a *fixedBatch) Converged() bool              { return a.best != nil }
+func (a *fixedBatch) String() string               { return "fixed-batch" }
+
+// A warm harmony session's db_hit/db_miss payloads are pinned exactly, on
+// the raw-store path and through the feddb read-through cache: a resolved
+// local configuration hits untagged, one backed by an observation applied
+// from another origin hits with source "federated", and under-measured
+// configurations miss with their stored count.
+func TestWarmSessionDBEventPayloads(t *testing.T) {
+	const want = `{"session":"warm","config":"1","value":4,"count":2}
+{"session":"warm","config":"2","value":3,"count":2,"source":"federated"}
+{"session":"warm","config":"3","count":1}
+{"session":"warm","config":"4","count":0}
+`
+	params := []space.Parameter{space.IntParam("x", 0, 9)}
+	for _, withCache := range []bool{false, true} {
+		name := "store"
+		if withCache {
+			name = "cache"
+		}
+		t.Run(name, func(t *testing.T) {
+			est := mustMinOfK(t, 2)
+			db := measuredb.NewMemory(measuredb.Options{Origin: "local"})
+			db.Observe(space.Point{1}, 5)
+			db.Observe(space.Point{1}, 4)
+			db.Observe(space.Point{2}, 7)
+			if _, err := db.Apply(measuredb.Frame{Origin: "peer", Seq: 1, Point: space.Point{2}, Value: 3}); err != nil {
+				t.Fatal(err)
+			}
+			db.Observe(space.Point{3}, 6)
+
+			rec := &event.Memory{}
+			opts := ServerOptions{
+				Estimator: est,
+				DB:        db,
+				Recorder:  rec,
+				NewAlgorithm: func(*space.Space) (core.Algorithm, error) {
+					return &fixedBatch{pts: []space.Point{{1}, {2}, {3}, {4}}}, nil
+				},
+			}
+			var cache *feddb.Cache
+			if withCache {
+				cache = feddb.NewCache(db, est, est.K(), 0)
+				opts.Cache = cache
+			}
+			srv := NewServer(opts)
+			defer srv.Close()
+			if err := srv.Register("warm", params); err != nil {
+				t.Fatal(err)
+			}
+			// The two misses are measured by the client, K=2 reports each.
+			if n := driveCounting(t, srv, "warm", objective.NewSphere(space.MustNew(params...), space.Point{0}, 1)); n != 4 {
+				t.Fatalf("client reports = %d, want 4 (two misses x K=2)", n)
+			}
+
+			var got string
+			for _, e := range rec.Events() {
+				if k := e.EventKind(); k != event.KindDBHit && k != event.KindDBMiss {
+					continue
+				}
+				line, err := json.Marshal(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got += string(line) + "\n"
+			}
+			if got != want {
+				t.Fatalf("db events:\n%s\nwant:\n%s", got, want)
+			}
+			if withCache {
+				if st := cache.Stats(); st.Misses != 4 {
+					t.Fatalf("cache stats %+v, want 4 lookups through the cache", st)
+				}
+			}
+		})
 	}
 }

@@ -12,20 +12,36 @@ type BatchEvaluator interface {
 	Eval(points []space.Point) ([]float64, error)
 }
 
+// EstimateCache is a read-through estimate cache that can stand in for the
+// store on the warm-start path (implemented by feddb.Cache, which fills
+// through [Store.Estimate]). Lookup returns the cached or freshly computed
+// estimate for p, whether any contributing observation arrived via
+// federation, and how many observations backed it; ok is false while the
+// store holds too few observations to estimate.
+type EstimateCache interface {
+	Lookup(p space.Point) (v float64, federated bool, count int, ok bool)
+}
+
 // Memo wraps a batch evaluator with the store's exact-match memoisation: a
 // candidate whose configuration already has at least K stored raw
-// observations is served from the store — est.Estimate over the *first* K
-// observations, exactly what a live measurement loop would have computed —
-// and spends no simulator steps or client measurements. Unresolved
-// candidates are forwarded to the inner evaluator in one batch (whose
-// measurements reach the store through the cluster's observation sink),
-// preserving batch semantics for the optimiser.
+// observations is served by [Store.Estimate] (or by Cache) and spends no
+// simulator steps or client measurements. Unresolved candidates are
+// forwarded to the inner evaluator in one batch (whose measurements reach
+// the store through the cluster's observation sink or the harmony report
+// path), preserving batch semantics for the optimiser. It is the warm start
+// of core.RunOnline, core.RunOnlineAsync and every harmony session.
 //
 // Every lookup is mirrored to the event stream as db_hit or db_miss.
 //
 // Memo is driven by a single engine goroutine and is not safe for concurrent
 // use; the store underneath it is.
 type Memo struct {
+	// Session labels the db_hit/db_miss payloads with a harmony session
+	// name; empty for the simulated drivers.
+	Session string
+	// Cache, when non-nil, answers lookups in place of the store.
+	Cache EstimateCache
+
 	inner BatchEvaluator
 	store *Store
 	est   sample.Estimator
@@ -67,19 +83,18 @@ func (m *Memo) Eval(points []space.Point) ([]float64, error) {
 		vt = m.vtime()
 	}
 	for i, p := range points {
-		var have, federated bool
-		m.obsBuf, have, federated = m.store.AppendObsSource(m.obsBuf[:0], p, k)
-		if have && len(m.obsBuf) >= k {
-			out[i] = m.est.Estimate(m.obsBuf)
+		v, federated, count, ok := m.lookup(p, k)
+		if ok {
+			out[i] = v
 			m.hits++
 			m.rec.Record(event.DBHit{
-				Config: p.Key(), Value: out[i], Count: k, Source: hitSource(federated), VTime: vt,
+				Session: m.Session, Config: p.Key(), Value: v, Count: k, Source: hitSource(federated), VTime: vt,
 			})
 			continue
 		}
 		m.misses++
 		m.rec.Record(event.DBMiss{
-			Config: p.Key(), Count: len(m.obsBuf), VTime: vt,
+			Session: m.Session, Config: p.Key(), Count: count, VTime: vt,
 		})
 		m.missIdx = append(m.missIdx, i)
 		m.missPts = append(m.missPts, p)
@@ -94,6 +109,15 @@ func (m *Memo) Eval(points []space.Point) ([]float64, error) {
 		}
 	}
 	return out, nil
+}
+
+// lookup answers one candidate from Cache when set, else from the store.
+func (m *Memo) lookup(p space.Point, k int) (v float64, federated bool, count int, ok bool) {
+	if m.Cache != nil {
+		return m.Cache.Lookup(p)
+	}
+	m.obsBuf, v, federated, ok = m.store.Estimate(m.obsBuf[:0], p, m.est, k)
+	return v, federated, len(m.obsBuf), ok
 }
 
 // hitSource maps the provenance flag to the db_hit Source tag. Local hits

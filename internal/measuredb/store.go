@@ -9,7 +9,7 @@
 // The store answers two questions:
 //
 //   - exact match: "has this configuration already been measured at least K
-//     times?" — the memoisation path ([Store.AppendObs], [Memo]) that lets a
+//     times?" — the memoisation path ([Store.Estimate], [Memo]) that lets a
 //     warm-started run skip re-measuring resolved configurations;
 //   - aggregation: per-configuration min / mean / median / p90 over all raw
 //     observations ([Store.Aggregate]), computed with internal/stats.
@@ -43,6 +43,7 @@ import (
 	"paratune/internal/event"
 	"paratune/internal/fault"
 	"paratune/internal/frame"
+	"paratune/internal/sample"
 	"paratune/internal/space"
 	"paratune/internal/stats"
 )
@@ -112,7 +113,7 @@ type RecoveryInfo struct {
 // federated Apply) is also framed into the WAL so a crashed process loses at
 // most the torn tail record.
 //
-// Reads (AppendObs, Aggregate, ForEach) take only the shard locks; writes
+// Reads (Estimate, Aggregate, ForEach) take only the shard locks; writes
 // and persistence state serialise on mu, keeping WAL frame order identical
 // to in-memory arrival order.
 type Store struct {
@@ -481,65 +482,46 @@ func (s *Store) SetApplyHook(fn func(key string)) {
 	s.mu.Unlock()
 }
 
-// AppendObs is the exact-match lookup: it appends up to max stored raw
-// observations for p (in canonical order) to dst and reports whether the
-// configuration exists at all. max <= 0 means all. The caller owns dst, so a
-// reused buffer with capacity makes the lookup allocation-free — the memo
-// path calls this once per candidate per iteration, and the alloccheck test
-// pins a zero-alloc budget.
+// Estimate is the warm-start lookup and the one home of its first-K rule:
+// it appends p's first min(k, stored) raw observations (in canonical order)
+// to dst, and when there are at least k of them answers est.Estimate over
+// exactly those — what a live measurement loop would have computed — with
+// ok true. federated reports whether any returned observation was first
+// recorded by a different store, the db_hit event's "federated" source tag.
+// k below 1 is read as 1. The caller owns dst, so a reused buffer with
+// capacity makes the lookup allocation-free: the memo path calls this once
+// per candidate per iteration, and the alloccheck test pins a zero-alloc
+// budget.
 //
 //paralint:hotpath
-func (s *Store) AppendObs(dst []float64, p space.Point, max int) ([]float64, bool) {
+func (s *Store) Estimate(dst []float64, p space.Point, est sample.Estimator, k int) (obs []float64, v float64, federated, ok bool) {
+	if k < 1 {
+		k = 1
+	}
 	var kb [8 * maxStackDim]byte
 	key := kb[:0]
 	if len(p) > maxStackDim {
 		key = make([]byte, 0, 8*len(p))
 	}
 	key = appendKey(key, p)
+	start := len(dst)
 	sh := &s.shards[shardFor(key)]
 	sh.mu.Lock()
-	r := sh.recs[string(key)]
-	found := r != nil
-	if found {
-		n := len(r.obs)
-		if max > 0 && n > max {
-			n = max
-		}
+	if r := sh.recs[string(key)]; r != nil {
+		n := min(len(r.obs), k)
 		dst = append(dst, r.obs[:n]...)
-	}
-	sh.mu.Unlock()
-	return dst, found
-}
-
-// AppendObsSource is AppendObs plus provenance: federated reports whether
-// any of the returned observations was first recorded by a different store
-// — the signal behind the db_hit event's "federated" source tag.
-func (s *Store) AppendObsSource(dst []float64, p space.Point, max int) (obs []float64, found, federated bool) {
-	var kb [8 * maxStackDim]byte
-	key := kb[:0]
-	if len(p) > maxStackDim {
-		key = make([]byte, 0, 8*len(p))
-	}
-	key = appendKey(key, p)
-	sh := &s.shards[shardFor(key)]
-	sh.mu.Lock()
-	r := sh.recs[string(key)]
-	found = r != nil
-	if found {
-		n := len(r.obs)
-		if max > 0 && n > max {
-			n = max
-		}
-		dst = append(dst, r.obs[:n]...)
-		for i := 0; i < n; i++ {
-			if r.meta[i].origin != s.local {
+		for _, m := range r.meta[:n] {
+			if m.origin != s.local {
 				federated = true
 				break
 			}
 		}
 	}
 	sh.mu.Unlock()
-	return dst, found, federated
+	if len(dst)-start < k {
+		return dst, 0, federated, false
+	}
+	return dst, est.Estimate(dst[start:]), federated, true
 }
 
 // Agg is one configuration's aggregate over all raw observations. Min is the

@@ -51,25 +51,56 @@ func TestNilStoreIsInert(t *testing.T) {
 	s.Observe(space.Point{1}, 2) // must not panic
 }
 
-func TestAppendObsOrderAndCap(t *testing.T) {
-	s := NewMemory(Options{})
+// firstK is the production lookup with the estimate ignored: p's first k
+// observations and whether there were k of them. Asking for one more than
+// a test stored returns a miss that carries every stored observation.
+func firstK(s *Store, p space.Point, k int) ([]float64, bool) {
+	obs, _, _, ok := s.Estimate(nil, p, sample.Single{}, k)
+	return obs, ok
+}
+
+func TestEstimateFirstKOrderAndCap(t *testing.T) {
+	meanOf := func(k int) sample.Estimator {
+		est, err := sample.NewMeanOfK(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	s := NewMemory(Options{Origin: "local"})
 	p := space.Point{7, 7}
 	for _, v := range []float64{9, 1, 4} {
 		s.Observe(p, v)
 	}
-	obs, ok := s.AppendObs(nil, p, 0)
-	if !ok || len(obs) != 3 {
-		t.Fatalf("AppendObs(all) = %v, %v", obs, ok)
+	obs, v, fed, ok := s.Estimate(nil, p, meanOf(3), 3)
+	if !ok || fed || len(obs) != 3 || v != 14.0/3 {
+		t.Fatalf("Estimate(k=3) = %v, %g, %v, %v", obs, v, fed, ok)
 	}
 	if obs[0] != 9 || obs[1] != 1 || obs[2] != 4 {
 		t.Fatalf("observations out of arrival order: %v", obs)
 	}
-	obs, _ = s.AppendObs(obs[:0], p, 2)
-	if len(obs) != 2 || obs[0] != 9 || obs[1] != 1 {
-		t.Fatalf("AppendObs(max=2) = %v, want first two in arrival order", obs)
+	obs, v, _, ok = s.Estimate(obs[:0], p, meanOf(2), 2)
+	if !ok || len(obs) != 2 || obs[0] != 9 || obs[1] != 1 || v != 5 {
+		t.Fatalf("Estimate(k=2) = %v, %g, %v, want the first two in arrival order, mean 5", obs, v, ok)
 	}
-	if _, ok := s.AppendObs(nil, space.Point{0, 0}, 0); ok {
-		t.Fatal("AppendObs found a never-observed configuration")
+	obs, v, _, ok = s.Estimate(obs[:0], p, meanOf(4), 4)
+	if ok || len(obs) != 3 || v != 0 {
+		t.Fatalf("Estimate(k=4) = %v, %g, %v, want a miss carrying all 3", obs, v, ok)
+	}
+	if obs, _, _, ok := s.Estimate(nil, space.Point{0, 0}, meanOf(1), 1); ok || len(obs) != 0 {
+		t.Fatal("Estimate found a never-observed configuration")
+	}
+
+	// A peer's observation sorts after "local": it tags the lookup only once
+	// it falls within the first k.
+	if _, err := s.Apply(Frame{Origin: "peer", Seq: 1, Point: p, Value: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, fed, _ := s.Estimate(nil, p, meanOf(3), 3); fed {
+		t.Fatal("first 3 observations are local but lookup reports federated")
+	}
+	if _, v, fed, ok := s.Estimate(nil, p, meanOf(4), 4); !ok || !fed || v != 4 {
+		t.Fatalf("Estimate(k=4) after peer apply = %g, %v, %v, want 4, federated", v, fed, ok)
 	}
 }
 
@@ -122,7 +153,7 @@ func TestConcurrentObserve(t *testing.T) {
 			for i := 0; i < per; i++ {
 				p := space.Point{float64(i % 10), float64(g % 3)}
 				s.Observe(p, float64(i))
-				s.AppendObs(nil, p, 4)
+				firstK(s, p, 4)
 			}
 		}(g)
 	}
@@ -264,8 +295,8 @@ func TestHighDimensionalKey(t *testing.T) {
 	}
 	s := NewMemory(Options{})
 	s.Observe(p, 42)
-	obs, ok := s.AppendObs(nil, p, 0)
-	if !ok || len(obs) != 1 || obs[0] != 42 {
+	obs, ok := firstK(s, p, 2)
+	if ok || len(obs) != 1 || obs[0] != 42 {
 		t.Fatalf("high-dim lookup = %v, %v", obs, ok)
 	}
 }
